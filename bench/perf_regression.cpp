@@ -3,7 +3,7 @@
 // Sweeps three datagen fields through {compress, decompress, round-trip}
 // and writes BENCH_perf.json at the repo root (or the path given as
 // argv[1]): per case the modelled throughput, modelled seconds, the
-// compression ratio, and the host wall-clock median.
+// compression ratio, and the host wall-clock min/median/max.
 //
 // Modelled metrics must be bit-identical run to run so CI can diff the
 // file: the harness pins CUSZP2_WORKERS=1 before the shared pool exists
@@ -48,10 +48,12 @@ struct CaseResult {
   f64 ratio = 0.0;
   f64 modelledSeconds = 0.0;
   f64 modelledGBps = 0.0;
-  f64 wallMsMedian = 0.0;
+  bench::RepeatStats wall;  // min/median/max over the timed reps
   f64 wallBudgetMs = 0.0;
   u64 launches = 0;    // fused-launch count; service cases only
   u64 recoveries = 0;  // retries + in-stream relaunches; chaos case only
+
+  f64 wallMsMedian() const { return wall.medianSeconds * 1e3; }
 };
 
 /// Soft wall-clock budgets per scenario, ≈2x a healthy single-core run:
@@ -498,9 +500,8 @@ int main(int argc, char** argv) {
       const auto cc = codec.compress<f32>(std::span<const f32>(field));
       codec.decompress<f32>(cc.stream);
     });
-    const f64 wallMs[3] = {wallCompress.medianSeconds * 1e3,
-                           wallDecompress.medianSeconds * 1e3,
-                           wallRoundTrip.medianSeconds * 1e3};
+    const bench::RepeatStats walls[3] = {wallCompress, wallDecompress,
+                                         wallRoundTrip};
 
     for (usize op = 0; op < 3; ++op) {
       CaseResult r;
@@ -509,9 +510,9 @@ int main(int argc, char** argv) {
       r.ratio = pass1[op].ratio;
       r.modelledSeconds = pass1[op].seconds;
       r.modelledGBps = pass1[op].gbps;
-      r.wallMsMedian = wallMs[op];
+      r.wall = walls[op];
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian);
+                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian());
 
       f64 prior = 0.0;
       if (!previous.empty() && previousGbps(previous, r.name, &prior) &&
@@ -569,11 +570,11 @@ int main(int argc, char** argv) {
       r.ratio = pass1.ratio;
       r.modelledSeconds = pass1.seconds;
       r.modelledGBps = pass1.gbps;
-      r.wallMsMedian = wall.medianSeconds * 1e3;
+      r.wall = wall;
       r.launches = launches;
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
                   "  (%zu jobs, %llu launches)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
+                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
                   jobs.size(), static_cast<unsigned long long>(launches));
 
       f64 prior = 0.0;
@@ -639,11 +640,11 @@ int main(int argc, char** argv) {
       r.ratio = pass1.ratio;
       r.modelledSeconds = pass1.seconds;
       r.modelledGBps = pass1.gbps;
-      r.wallMsMedian = wall.medianSeconds * 1e3;
+      r.wall = wall;
       r.launches = launches;
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
                   "  (%zu jobs, %llu launches)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
+                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
                   jobs.size(), static_cast<unsigned long long>(launches));
 
       f64 prior = 0.0;
@@ -687,11 +688,11 @@ int main(int argc, char** argv) {
       r.ratio = pass1.ratio;
       r.modelledSeconds = pass1.seconds;
       r.modelledGBps = pass1.gbps;
-      r.wallMsMedian = wall.medianSeconds * 1e3;
+      r.wall = wall;
       r.recoveries = rec1;
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
                   "  (%zu jobs, %llu recoveries)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
+                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
                   jobs.size(), static_cast<unsigned long long>(rec1));
 
       f64 prior = 0.0;
@@ -741,11 +742,11 @@ int main(int argc, char** argv) {
       r.ratio = pass1.ratio;
       r.modelledSeconds = pass1.seconds;
       r.modelledGBps = pass1.gbps;
-      r.wallMsMedian = wall.medianSeconds * 1e3;
+      r.wall = wall;
       r.recoveries = fo1;
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
                   "  (%zu jobs, %llu failovers)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
+                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
                   jobs.size(), static_cast<unsigned long long>(fo1));
 
       f64 prior = 0.0;
@@ -807,10 +808,10 @@ int main(int argc, char** argv) {
     r.ratio = v3a.ratio;
     r.modelledSeconds = v3a.seconds;
     r.modelledGBps = v3a.gbps;
-    r.wallMsMedian = wall.medianSeconds * 1e3;
+    r.wall = wall;
     std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
                 "  (v2 fle ratio %.2f, +%.1f%%)\n",
-                r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian,
+                r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
                 v2a.ratio, 100.0 * (v3a.ratio / v2a.ratio - 1.0));
 
     f64 prior = 0.0;
@@ -886,10 +887,10 @@ int main(int argc, char** argv) {
     r.ratio = dedup;
     r.modelledSeconds = 0.0;
     r.modelledGBps = 0.0;
-    r.wallMsMedian = wall.medianSeconds * 1e3;
+    r.wall = wall;
     std::printf("%-24s %8s           ratio %6.2f  wall %7.2f ms"
                 "  (%llu logical -> %llu physical bytes)\n",
-                r.name.c_str(), "-", r.ratio, r.wallMsMedian,
+                r.name.c_str(), "-", r.ratio, r.wallMsMedian(),
                 static_cast<unsigned long long>(logicalBytes),
                 static_cast<unsigned long long>(pass1.physicalBytes));
     results.push_back(std::move(r));
@@ -1016,11 +1017,11 @@ int main(int argc, char** argv) {
     r.ratio = amortize;  // snapshot-per-put bytes / journaled bytes
     r.modelledSeconds = 0.0;
     r.modelledGBps = 0.0;
-    r.wallMsMedian = wall.medianSeconds * 1e3;
+    r.wall = wall;
     std::printf("%-24s %8s           ratio %6.2f  wall %7.2f ms"
                 "  (%llu journal B vs %llu snapshot-per-put B, "
                 "%llu replayed)\n",
-                r.name.c_str(), "-", r.ratio, r.wallMsMedian,
+                r.name.c_str(), "-", r.ratio, r.wallMsMedian(),
                 static_cast<unsigned long long>(pass1.journalBytes),
                 static_cast<unsigned long long>(pass1.savePerPutBytes),
                 static_cast<unsigned long long>(pass1.replayed));
@@ -1032,10 +1033,10 @@ int main(int argc, char** argv) {
   // required by ci_check.sh so regressions stay visible in the diff.
   for (CaseResult& r : results) {
     r.wallBudgetMs = wallBudgetMs(r.name);
-    if (r.wallBudgetMs > 0.0 && r.wallMsMedian > r.wallBudgetMs) {
+    if (r.wallBudgetMs > 0.0 && r.wallMsMedian() > r.wallBudgetMs) {
       std::printf("WARN perf.wall_budget %s: wall %.2f ms exceeds budget "
                   "%.2f ms\n",
-                  r.name.c_str(), r.wallMsMedian, r.wallBudgetMs);
+                  r.name.c_str(), r.wallMsMedian(), r.wallBudgetMs);
       ++warns;
     }
   }
@@ -1051,7 +1052,9 @@ int main(int argc, char** argv) {
     json += ", \"ratio\": " + f64Str(r.ratio);
     json += ", \"modelled_seconds\": " + f64Str(r.modelledSeconds);
     json += ", \"modelled_gbps\": " + f64Str(r.modelledGBps);
-    json += ", \"wall_ms_median\": " + f64Str(r.wallMsMedian);
+    json += ", \"min_ms\": " + f64Str(r.wall.minSeconds * 1e3);
+    json += ", \"wall_ms_median\": " + f64Str(r.wallMsMedian());
+    json += ", \"max_ms\": " + f64Str(r.wall.maxSeconds * 1e3);
     json += ", \"wall_budget_ms\": " + f64Str(r.wallBudgetMs);
     if (r.launches > 0) {
       json += ", \"launches\": " + std::to_string(r.launches);

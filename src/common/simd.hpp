@@ -1,16 +1,18 @@
 // Host SIMD dispatch for the hot codec kernels (quantize+diff, bit-plane
-// pack/unpack, prefix sums, dequantize). The compressed format is defined
-// by the scalar kernels; every vector path here must be byte-identical to
-// its scalar counterpart — integer kernels trivially, the float kernels by
-// doing all arithmetic in the same IEEE f64 operations the scalar code
-// performs (multiply, truncate, compare, convert are all exactly rounded,
-// so lane order cannot change a result).
+// pack/unpack, prefix sums, dequantize) and the REL bound's min/max range
+// reduction. The compressed format is defined by the scalar kernels; every
+// vector path here must be byte-identical to its scalar counterpart —
+// integer kernels trivially, the float kernels by doing all arithmetic in
+// the same IEEE f64 operations the scalar code performs (multiply,
+// truncate, compare, convert are all exactly rounded, so lane order cannot
+// change a result).
 //
 // Dispatch contract: each simd:: entry point returns `true` (or an element
 // count) when the active vector path handled the call, and `false` (or 0)
 // when the caller must run its scalar reference loop — so the scalar code
-// stays where it is documented (fle.hpp, block_codec.cpp, stream.cpp) and
-// `CUSZP2_SIMD=scalar` exercises exactly the pre-SIMD byte path.
+// stays where it is documented (fle.hpp, block_codec.cpp, stream.cpp,
+// metrics/error_stats.cpp) and `CUSZP2_SIMD=scalar` exercises exactly the
+// pre-SIMD byte path.
 //
 // Backends: AVX2 on x86-64 (compiled via the `target` function attribute so
 // the TU itself needs no -mavx2; entered only after a runtime
@@ -426,6 +428,106 @@ __attribute__((target("avx2"))) inline void dequantizeF64Avx2(
   for (; i < n; ++i) out[i] = static_cast<f64>(q[i]) * twoEb;
 }
 
+/// Min and max of v[0..n), n >= 1, equal to the scalar fold
+/// `lo = std::min(lo, v[i]); hi = std::max(hi, v[i])` seeded with v[0].
+/// min_ps(x, acc) returns its second operand unless x < acc, i.e. exactly
+/// std::min(acc, x) per lane, NaN included: every accumulator starts at
+/// v[0], so a NaN head poisons all lanes as it poisons the scalar fold,
+/// and an interior NaN is skipped by both. Four accumulators per bound
+/// keep the loop load-bound. The one visible reordering is which of two
+/// equal zeros wins a -0/+0 tie.
+__attribute__((target("avx2"))) inline void minMaxF32Avx2(const f32* v,
+                                                          usize n, f32* lo,
+                                                          f32* hi) {
+  __m256 lo0 = _mm256_set1_ps(v[0]);
+  __m256 lo1 = lo0, lo2 = lo0, lo3 = lo0;
+  __m256 hi0 = lo0, hi1 = lo0, hi2 = lo0, hi3 = lo0;
+  usize i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256 a = _mm256_loadu_ps(v + i);
+    const __m256 b = _mm256_loadu_ps(v + i + 8);
+    const __m256 c = _mm256_loadu_ps(v + i + 16);
+    const __m256 d = _mm256_loadu_ps(v + i + 24);
+    lo0 = _mm256_min_ps(a, lo0);
+    lo1 = _mm256_min_ps(b, lo1);
+    lo2 = _mm256_min_ps(c, lo2);
+    lo3 = _mm256_min_ps(d, lo3);
+    hi0 = _mm256_max_ps(a, hi0);
+    hi1 = _mm256_max_ps(b, hi1);
+    hi2 = _mm256_max_ps(c, hi2);
+    hi3 = _mm256_max_ps(d, hi3);
+  }
+  for (; i + 8 <= n; i += 8) {
+    const __m256 a = _mm256_loadu_ps(v + i);
+    lo0 = _mm256_min_ps(a, lo0);
+    hi0 = _mm256_max_ps(a, hi0);
+  }
+  lo0 = _mm256_min_ps(_mm256_min_ps(lo1, lo0), _mm256_min_ps(lo3, lo2));
+  hi0 = _mm256_max_ps(_mm256_max_ps(hi1, hi0), _mm256_max_ps(hi3, hi2));
+  alignas(32) f32 los[8];
+  alignas(32) f32 his[8];
+  _mm256_store_ps(los, lo0);
+  _mm256_store_ps(his, hi0);
+  f32 l = v[0];
+  f32 h = v[0];
+  for (usize k = 0; k < 8; ++k) {
+    l = los[k] < l ? los[k] : l;
+    h = h < his[k] ? his[k] : h;
+  }
+  for (; i < n; ++i) {
+    l = v[i] < l ? v[i] : l;
+    h = h < v[i] ? v[i] : h;
+  }
+  *lo = l;
+  *hi = h;
+}
+
+__attribute__((target("avx2"))) inline void minMaxF64Avx2(const f64* v,
+                                                          usize n, f64* lo,
+                                                          f64* hi) {
+  __m256d lo0 = _mm256_set1_pd(v[0]);
+  __m256d lo1 = lo0, lo2 = lo0, lo3 = lo0;
+  __m256d hi0 = lo0, hi1 = lo0, hi2 = lo0, hi3 = lo0;
+  usize i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256d a = _mm256_loadu_pd(v + i);
+    const __m256d b = _mm256_loadu_pd(v + i + 4);
+    const __m256d c = _mm256_loadu_pd(v + i + 8);
+    const __m256d d = _mm256_loadu_pd(v + i + 12);
+    lo0 = _mm256_min_pd(a, lo0);
+    lo1 = _mm256_min_pd(b, lo1);
+    lo2 = _mm256_min_pd(c, lo2);
+    lo3 = _mm256_min_pd(d, lo3);
+    hi0 = _mm256_max_pd(a, hi0);
+    hi1 = _mm256_max_pd(b, hi1);
+    hi2 = _mm256_max_pd(c, hi2);
+    hi3 = _mm256_max_pd(d, hi3);
+  }
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_loadu_pd(v + i);
+    lo0 = _mm256_min_pd(a, lo0);
+    hi0 = _mm256_max_pd(a, hi0);
+  }
+  lo0 = _mm256_min_pd(_mm256_min_pd(lo1, lo0), _mm256_min_pd(lo3, lo2));
+  hi0 = _mm256_max_pd(_mm256_max_pd(hi1, hi0), _mm256_max_pd(hi3, hi2));
+  alignas(32) f64 los[4];
+  alignas(32) f64 his[4];
+  _mm256_store_pd(los, lo0);
+  _mm256_store_pd(his, hi0);
+  f64 l = v[0];
+  f64 h = v[0];
+  for (usize k = 0; k < 4; ++k) {
+    l = los[k] < l ? los[k] : l;
+    h = h < his[k] ? his[k] : h;
+  }
+  for (; i < n; ++i) {
+    l = v[i] < l ? v[i] : l;
+    h = h < v[i] ? v[i] : h;
+  }
+  *lo = l;
+  *hi = h;
+}
+
 __attribute__((target("avx2"))) inline u64 sumMaskedU64Avx2(const u64* words,
                                                             usize n,
                                                             u64 mask) {
@@ -717,6 +819,36 @@ inline bool dequantize(std::span<const i32> q, f64 twoEb, f64* out) {
   (void)q;
   (void)twoEb;
   (void)out;
+  return false;
+}
+
+/// Min and max of a non-empty field, as std::min/std::max folded from
+/// values[0] (the REL error bound's range reduction); false = caller runs
+/// its scalar loop. NEON stays scalar: vminq/vmaxq propagate NaN, which
+/// the scalar fold does not for an interior NaN.
+inline bool minMax(std::span<const f32> values, f32* lo, f32* hi) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && !values.empty()) {
+    detail::minMaxF32Avx2(values.data(), values.size(), lo, hi);
+    return true;
+  }
+#endif
+  (void)values;
+  (void)lo;
+  (void)hi;
+  return false;
+}
+
+inline bool minMax(std::span<const f64> values, f64* lo, f64* hi) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && !values.empty()) {
+    detail::minMaxF64Avx2(values.data(), values.size(), lo, hi);
+    return true;
+  }
+#endif
+  (void)values;
+  (void)lo;
+  (void)hi;
   return false;
 }
 

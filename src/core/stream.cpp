@@ -13,7 +13,6 @@
 #include "core/block_codec.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream_internal.hpp"
-#include "metrics/error_stats.hpp"
 #include "scan/chained.hpp"
 #include "scan/lookback.hpp"
 #include "telemetry/trace.hpp"
@@ -61,6 +60,8 @@ class TileSync {
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
 using detail::makeProfile;
+using detail::outputAlloc;
+using detail::rangeReduce;
 using detail::residualsToQuants;
 using detail::secondOrderDiff;
 
@@ -122,7 +123,7 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   // value range on-device first (one bandwidth-limited read of the input).
   f64 absEb = config.absErrorBound;
   if (absEb <= 0.0) {
-    const f64 range = metrics::valueRange(data);
+    const f64 range = rangeReduce(data);
     absEb = Quantizer::absFromRel(config.relErrorBound, range);
     job.rangeSeconds = static_cast<f64>(job.originalBytes) /
                            (timing.spec().memBandwidthGBps * 1e9) +
@@ -667,7 +668,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   const u64 numBlocks = header.numBlocks();
 
   Decompressed<T> out;
-  out.data.assign(n, T{});
+  outputAlloc(out.data, n, T{});
   if (n == 0) {
     out.profile.endToEndSeconds = timing_.launchSeconds();
     noteDecompressed(stream.size(), 0, 0.0);
@@ -966,7 +967,7 @@ std::vector<DecompressedRaw> CompressorStream::decompressBatchRaw(
         job.header.precision == Precision::F32 ? sizeof(f32) : sizeof(f64);
     out[i].precision = job.header.precision;
     out[i].elements = n;
-    out[i].data.assign(n * elemBytes, std::byte{});
+    outputAlloc(out[i].data, n * elemBytes, std::byte{});
     if (n == 0) {
       job.desc.gridSize = 0;
       out[i].profile.endToEndSeconds = timing_.launchSeconds();
@@ -1051,7 +1052,7 @@ BlockRange<T> CompressorStream::decompressBlocks(ConstByteSpan stream,
   BlockRange<T> out;
   out.firstElement = firstBlock * L;
   const u64 lastElement = std::min<u64>(n, (firstBlock + blockCount) * L);
-  out.values.assign(lastElement - out.firstElement, T{});
+  outputAlloc(out.values, lastElement - out.firstElement, T{});
 
   // The offset array alone is scanned (1 byte per block) to locate the
   // range; only the requested blocks run the decode path. This is why
@@ -1307,7 +1308,7 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
   const u64 numBlocks = header.numBlocks();
   rep.totalBlocks = numBlocks;
   rep.verdicts.assign(numBlocks, BlockVerdict::Good);
-  out.data.assign(n, fillValue);
+  outputAlloc(out.data, n, fillValue);
   if (n == 0) return out;
 
   const usize payloadBegin = header.payloadBegin();

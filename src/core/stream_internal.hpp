@@ -5,12 +5,16 @@
 
 #include <limits>
 #include <span>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/output_alloc.hpp"
 #include "common/simd.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "gpusim/launcher.hpp"
+#include "metrics/error_stats.hpp"
+#include "telemetry/trace.hpp"
 
 namespace cuszp2::core::detail {
 
@@ -88,6 +92,40 @@ void dequantizeSpan(const Quantizer& quantizer, std::span<const i32> q,
   for (usize i = 0; i < q.size(); ++i) {
     out[i] = quantizer.dequantize<T>(q[i]);
   }
+}
+
+/// Runs the host stage `fn` between kernels. With a trace session active
+/// it is recorded as a complete event `name` with a `bytes` arg; without
+/// one the cost is the active-session pointer check.
+template <typename Fn>
+void hostStage(const char* name, u64 bytes, Fn&& fn) {
+  telemetry::TraceSession* trace = telemetry::activeTrace();
+  if (trace == nullptr) {
+    fn();
+    return;
+  }
+  const f64 t0 = trace->nowUs();
+  fn();
+  trace->complete(name, trace->nowUs() - t0,
+                  {telemetry::TraceArg::num("bytes", static_cast<f64>(bytes))});
+}
+
+/// The REL error bound's value-range pass, as host stage
+/// `stream.range_reduce`.
+template <FloatingPoint T>
+f64 rangeReduce(std::span<const T> data) {
+  f64 range = 0.0;
+  hostStage("stream.range_reduce", data.size_bytes(),
+            [&] { range = metrics::valueRange(data); });
+  return range;
+}
+
+/// Fills a fresh decode output (allocOutput), as host stage
+/// `stream.output_alloc`.
+template <typename T>
+void outputAlloc(std::vector<T>& out, u64 n, const T& fill) {
+  hostStage("stream.output_alloc", n * sizeof(T),
+            [&] { allocOutput(out, n, fill); });
 }
 
 inline KernelProfile makeProfile(const gpusim::LaunchResult& launch,

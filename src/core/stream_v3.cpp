@@ -28,7 +28,6 @@
 #include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
 #include "core/stream_internal.hpp"
-#include "metrics/error_stats.hpp"
 
 namespace cuszp2::core {
 
@@ -37,6 +36,8 @@ namespace {
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
 using detail::makeProfile;
+using detail::outputAlloc;
+using detail::rangeReduce;
 using detail::residualsToQuants;
 
 void put32(std::byte* p, u32 v) {
@@ -211,7 +212,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   f64 extraSeconds = 0.0;
   f64 absEb = config_.absErrorBound;
   if (absEb <= 0.0) {
-    const f64 range = metrics::valueRange(data);
+    const f64 range = rangeReduce(data);
     absEb = Quantizer::absFromRel(config_.relErrorBound, range);
     extraSeconds += bandwidthPassSeconds(timing_, n * sizeof(T));
   }
@@ -475,7 +476,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   const u64 numBlocks = header.numBlocks();
 
   Decompressed<T> out;
-  out.data.assign(n, T{});
+  outputAlloc(out.data, n, T{});
   if (n == 0) {
     out.profile.endToEndSeconds = timing_.launchSeconds();
     noteDecompressed(stream.size(), 0, 0.0);
@@ -582,7 +583,7 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
   BlockRange<T> out;
   out.firstElement = firstBlock * L;
   const u64 lastElement = std::min<u64>(n, (firstBlock + blockCount) * L);
-  out.values.assign(lastElement - out.firstElement, T{});
+  outputAlloc(out.values, lastElement - out.firstElement, T{});
 
   // Positions come from the host descriptor walk, so only tiles covering
   // the requested range launch work; the descriptor array read replaces
@@ -791,7 +792,7 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
   const u64 numBlocks = header.numBlocks();
   rep.totalBlocks = numBlocks;
   rep.verdicts.assign(numBlocks, BlockVerdict::Good);
-  out.data.assign(n, fillValue);
+  outputAlloc(out.data, n, fillValue);
   if (n == 0) return;
 
   // Dictionary verdict: a damaged section header, CRC, or table quarantines

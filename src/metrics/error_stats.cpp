@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 
 namespace cuszp2::metrics {
 
@@ -12,9 +13,11 @@ f64 valueRange(std::span<const T> data) {
   if (data.empty()) return 0.0;
   T lo = data[0];
   T hi = data[0];
-  for (T v : data) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+  if (!simd::minMax(data, &lo, &hi)) {
+    for (T v : data) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
   }
   return static_cast<f64>(hi) - static_cast<f64>(lo);
 }

@@ -11,6 +11,7 @@
 // take the scalar path and trivially agree).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "datagen/fields.hpp"
+#include "metrics/error_stats.hpp"
 
 using namespace cuszp2;
 
@@ -379,6 +381,128 @@ TEST(SimdTest, SumMaskedU64MatchesScalar) {
       for (const u64 w : words) want += w & mask;
       EXPECT_EQ(got, want) << "n=" << n << " mask=" << mask;
     }
+  }
+}
+
+/// Bit pattern of a float, for exact comparisons that see NaN payloads
+/// and the sign of zero.
+template <typename T>
+auto bitsOf(T v) {
+  if constexpr (sizeof(T) == 4) {
+    return std::bit_cast<u32>(v);
+  } else {
+    return std::bit_cast<u64>(v);
+  }
+}
+
+/// The range reduction of every special shape: a seeded random field with
+/// NaN at index 0, NaN in the interior and the tail, +-inf, -0/+0 ties and
+/// a constant field. Native simd::minMax must return the scalar fold's
+/// exact bits; the one allowed difference is which zero wins a -0/+0 tie,
+/// and valueRange's REL bound must come out bit-identical regardless.
+template <typename T>
+void checkMinMaxAgainstScalar() {
+  ModeGuard guard;
+  simd::setMode(simd::Mode::Native);
+  if (!simd::nativeActive()) GTEST_SKIP() << "no vector ISA";
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  enum Shape { Random, NanHead, NanInside, Infs, Zeros, Constant, kShapes };
+  Rng rng(sizeof(T));
+  for (const usize n : kLengths) {
+    if (n == 0) continue;
+    for (const usize off : kOffsets) {
+      for (int shape = 0; shape < kShapes; ++shape) {
+        std::vector<T> buf(off + n);
+        for (T& x : buf) x = static_cast<T>(rng.uniform() * 200.0 - 100.0);
+        const std::span<T> v(buf.data() + off, n);
+        switch (shape) {
+          case NanHead: v[0] = nan; break;
+          case NanInside:
+            v[n / 2] = nan;
+            v[n - 1] = nan;
+            break;
+          case Infs:
+            v[rng.uniformInt(n)] = inf;
+            v[rng.uniformInt(n)] = -inf;
+            break;
+          case Zeros:
+            for (T& x : v) x = (rng.next() & 1) != 0 ? T{0} : -T{0};
+            break;
+          case Constant: std::fill(v.begin(), v.end(), T(3.25)); break;
+          default: break;
+        }
+
+        // Independent reference: the fold valueRange documents.
+        T wantLo = v[0];
+        T wantHi = v[0];
+        for (const T x : v) {
+          wantLo = std::min(wantLo, x);
+          wantHi = std::max(wantHi, x);
+        }
+        T lo = T{1};
+        T hi = T{1};
+        ASSERT_TRUE(simd::minMax(std::span<const T>(v), &lo, &hi));
+        for (const auto& [got, want] : {std::pair{lo, wantLo},
+                                        std::pair{hi, wantHi}}) {
+          if (want == T{0}) {
+            EXPECT_EQ(got, T{0}) << "n=" << n << " shape=" << shape;
+          } else {
+            EXPECT_EQ(bitsOf(got), bitsOf(want))
+                << "n=" << n << " off=" << off << " shape=" << shape;
+          }
+        }
+
+        const f64 nativeRange = metrics::valueRange(std::span<const T>(v));
+        simd::setMode(simd::Mode::Scalar);
+        const f64 scalarRange = metrics::valueRange(std::span<const T>(v));
+        simd::setMode(simd::Mode::Native);
+        EXPECT_EQ(bitsOf(core::Quantizer::absFromRel(1e-3, nativeRange)),
+                  bitsOf(core::Quantizer::absFromRel(1e-3, scalarRange)))
+            << "n=" << n << " off=" << off << " shape=" << shape;
+      }
+    }
+  }
+}
+
+TEST(SimdTest, MinMaxMatchesScalarF32) { checkMinMaxAgainstScalar<f32>(); }
+
+TEST(SimdTest, MinMaxMatchesScalarF64) { checkMinMaxAgainstScalar<f64>(); }
+
+// The REL bound is resolved on the host before the kernel runs, so every
+// writer that takes it — legacy v1, legacy v2, v3 Auto — must emit the
+// same stream bytes whichever dispatch mode reduced the range.
+TEST(SimdTest, RelBoundStreamsByteIdenticalAcrossModes) {
+  ModeGuard guard;
+  core::Config v1;
+  v1.relErrorBound = 1e-3;
+  core::Config v2 = v1;
+  v2.blockChecksums = true;
+  core::Config v3 = v1;
+  v3.pipeline = core::PipelineMode::Auto;
+  const usize n = 20003;  // partial last block, partial last vector
+  const std::vector<f32> f32Fields[] = {datagen::generateF32("cesm_atm", 2, n),
+                                        datagen::generateF32("hacc", 0, n),
+                                        datagen::generateF32("jetin", 0, n)};
+  const std::vector<f64> f64Field = datagen::generateF64("s3d", 1, n);
+
+  for (const core::Config& cfg : {v1, v2, v3}) {
+    auto compressBoth = [&](auto span) {
+      using T = typename decltype(span)::value_type;
+      simd::setMode(simd::Mode::Scalar);
+      core::CompressorStream scalarCodec(cfg);
+      const auto a = scalarCodec.compress<T>(span);
+      simd::setMode(simd::Mode::Native);
+      core::CompressorStream nativeCodec(cfg);
+      const auto b = nativeCodec.compress<T>(span);
+      EXPECT_EQ(a.stream, b.stream)
+          << "pipeline=" << static_cast<int>(cfg.pipeline)
+          << " blockChecksums=" << cfg.blockChecksums;
+    };
+    for (const std::vector<f32>& field : f32Fields) {
+      compressBoth(std::span<const f32>(field));
+    }
+    compressBoth(std::span<const f64>(f64Field));
   }
 }
 

@@ -196,7 +196,9 @@ TEST(TraceSessionTest, StreamRoundTripEmitsKernelEvents) {
   for (const TraceEvent& e : trace.events()) {
     EXPECT_GE(e.tsUs, lastTs);
     lastTs = e.tsUs;
-    if (e.phase != 'X') continue;
+    // Host stages (stream.*) are complete events too; they carry bytes,
+    // not kernel counters (HostStagesAppearAsCompleteEvents below).
+    if (e.phase != 'X' || e.name.starts_with("stream.")) continue;
     launches[e.name] += 1;
     bool sawModelled = false;
     bool sawSync = false;
@@ -211,6 +213,46 @@ TEST(TraceSessionTest, StreamRoundTripEmitsKernelEvents) {
   EXPECT_EQ(launches["decompress"], 1);
   EXPECT_EQ(launches["random_access_decode"], 1);
   EXPECT_EQ(launches["salvage_decode"], 1);
+}
+
+// The host work between kernels shows up in traces as named complete
+// events: the REL bound's range pass once per compress (ABS skips it), and
+// one output allocation per decode, each sized in bytes.
+TEST(TraceSessionTest, HostStagesAppearAsCompleteEvents) {
+  const std::vector<f32> field = datagen::generateF32("cesm_atm", 0, 4096);
+  const u64 fieldBytes = field.size() * sizeof(f32);
+
+  TraceSession trace;
+  {
+    telemetry::ScopedTrace scoped(trace);
+    core::CompressorStream codec(core::Config{.relErrorBound = 1e-3});
+    const auto c = codec.compress<f32>(std::span<const f32>(field));
+    codec.decompress<f32>(c.stream);
+    codec.decompressBlocks<f32>(c.stream, 1, 2);
+    codec.decompressResilient<f32>(c.stream);
+    codec.reconfigure(core::Config{.absErrorBound = 1e-3});
+    codec.compress<f32>(std::span<const f32>(field));
+  }
+
+  std::vector<f64> rangeBytes;
+  std::vector<f64> allocBytes;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.name != "stream.range_reduce" && e.name != "stream.output_alloc") {
+      continue;
+    }
+    EXPECT_EQ(e.phase, 'X') << e.name;
+    EXPECT_GE(e.durUs, 0.0) << e.name;
+    ASSERT_EQ(e.args.size(), 1u) << e.name;
+    EXPECT_EQ(e.args[0].key, "bytes");
+    (e.name == "stream.range_reduce" ? rangeBytes : allocBytes)
+        .push_back(e.args[0].number);
+  }
+  EXPECT_EQ(rangeBytes, std::vector<f64>{static_cast<f64>(fieldBytes)});
+  const u64 blockL = core::Config{}.blockSize;
+  EXPECT_EQ(allocBytes,
+            (std::vector<f64>{static_cast<f64>(fieldBytes),
+                              static_cast<f64>(2 * blockL * sizeof(f32)),
+                              static_cast<f64>(fieldBytes)}));
 }
 
 // The global registry's per-kernel table aggregates the same launches.

@@ -171,6 +171,12 @@ echo "==== [release] crash drill (seed 4242) ===="
 echo "==== [asan] crash drill (seed 20260809, fast) ===="
 "${repo_root}/build-ci-asan/tools/crash_drill" --seed 20260809 --fast
 
+# perfbench's Python side (percentiles, span self-time breakdowns, the
+# open-loop clock, CPU slices, BENCHMARK.json metric names) has its own
+# unit tests; run them with the rest.
+echo "==== perfbench unit tests ===="
+(cd "${repo_root}" && python3 -m unittest discover -s perfbench/tests)
+
 echo "==== [release] perf_regression -> BENCH_perf.json ===="
 (cd "${repo_root}" && "${repo_root}/build-ci-release/bench/perf_regression" \
   "${repo_root}/BENCH_perf.json")

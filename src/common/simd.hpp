@@ -1,7 +1,8 @@
 // Host SIMD dispatch for the hot codec kernels (quantize+diff, bit-plane
-// pack/unpack, prefix sums, dequantize) and the REL bound's min/max range
-// reduction. The compressed format is defined by the scalar kernels; every
-// vector path here must be byte-identical to its scalar counterpart —
+// pack/unpack, prefix sums, dequantize), the REL bound's min/max range
+// reduction and the v3 analysis pass (symbol runs, Lorenzo-2D residuals).
+// The compressed format is defined by the scalar kernels; every vector
+// path here must be byte-identical to its scalar counterpart —
 // integer kernels trivially, the float kernels by doing all arithmetic in
 // the same IEEE f64 operations the scalar code performs (multiply,
 // truncate, compare, convert are all exactly rounded, so lane order cannot
@@ -11,8 +12,8 @@
 // count) when the active vector path handled the call, and `false` (or 0)
 // when the caller must run its scalar reference loop — so the scalar code
 // stays where it is documented (fle.hpp, block_codec.cpp, stream.cpp,
-// metrics/error_stats.cpp) and `CUSZP2_SIMD=scalar` exercises exactly the
-// pre-SIMD byte path.
+// pipeline.cpp, metrics/error_stats.cpp) and `CUSZP2_SIMD=scalar`
+// exercises exactly the pre-SIMD byte path.
 //
 // Backends: AVX2 on x86-64 (compiled via the `target` function attribute so
 // the TU itself needs no -mavx2; entered only after a runtime
@@ -528,6 +529,75 @@ __attribute__((target("avx2"))) inline void minMaxF64Avx2(const f64* v,
   *hi = h;
 }
 
+/// Entropy symbols of one block plus its run and escape counts, one pass:
+/// sym = min(zigzag(r), escape), changes = #{i >= 1 : sym[i] != sym[i-1]},
+/// escapes = #{i : sym[i] == escape}. `n` is a nonzero multiple of 8.
+/// Each lane's predecessor comes from rotating the symbol vector up one
+/// lane and blending in lane 7 of the previous vector. Symbols are at most
+/// `escape` < 2^15, so the signed-saturating u16 pack is exact.
+__attribute__((target("avx2"))) inline void symbolRunsAvx2(
+    const i32* r, usize n, u16 escape, u16* sym, u32* changes,
+    u32* escapes) {
+  const __m256i escV = _mm256_set1_epi32(escape);
+  const __m256i rotate = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+  const __m256i lastLane = _mm256_set1_epi32(7);
+  u32 ch = 0;
+  u32 esc = 0;
+  // Seeded with sym[0], so lane 0 of the first vector sees no change.
+  const u32 z0 = (static_cast<u32>(r[0]) << 1) ^ static_cast<u32>(r[0] >> 31);
+  __m256i prev = _mm256_set1_epi32(static_cast<i32>(z0 < escape ? z0 : escape));
+  for (usize i = 0; i < n; i += 8) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r + i));
+    const __m256i z =
+        _mm256_xor_si256(_mm256_slli_epi32(v, 1), _mm256_srai_epi32(v, 31));
+    const __m256i s = _mm256_min_epu32(z, escV);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(sym + i),
+                     _mm_packus_epi32(_mm256_castsi256_si128(s),
+                                      _mm256_extracti128_si256(s, 1)));
+    const __m256i before = _mm256_blend_epi32(
+        _mm256_permutevar8x32_epi32(s, rotate),
+        _mm256_permutevar8x32_epi32(prev, lastLane), 0x01);
+    const u32 same = static_cast<u32>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(s, before))));
+    ch += static_cast<u32>(__builtin_popcount(~same & 0xFFu));
+    esc += static_cast<u32>(__builtin_popcount(static_cast<u32>(
+        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(s, escV))))));
+    prev = s;
+  }
+  *changes = ch;
+  *escapes = esc;
+}
+
+/// 2-D Lorenzo residuals over an (n/8) x 8 row-major tile in i32, one
+/// register per row: res = (q - west) - (north - northWest). Returns false
+/// (output unspecified) when some |q| >= 2^29; below that bound every partial
+/// sum and residual stays inside i32, so the wrapping lane arithmetic is
+/// exact. `n` is a nonzero multiple of 8.
+__attribute__((target("avx2"))) inline bool lorenzo2dI32Avx2(const i32* q,
+                                                             usize n,
+                                                             i32* out) {
+  const __m256i rotate = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i maxAbs = zero;
+  __m256i northDiff = zero;
+  for (usize i = 0; i < n; i += 8) {
+    const __m256i row =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    // abs(INT32_MIN) stays 0x80000000, which the unsigned max also rejects.
+    maxAbs = _mm256_max_epu32(maxAbs, _mm256_abs_epi32(row));
+    const __m256i west = _mm256_blend_epi32(
+        _mm256_permutevar8x32_epi32(row, rotate), zero, 0x01);
+    const __m256i rowDiff = _mm256_sub_epi32(row, west);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
+                        _mm256_sub_epi32(rowDiff, northDiff));
+    northDiff = rowDiff;
+  }
+  const __m256i limit = _mm256_set1_epi32((1 << 29) - 1);
+  return _mm256_movemask_epi8(_mm256_cmpeq_epi32(
+             _mm256_max_epu32(maxAbs, limit), limit)) == -1;
+}
+
 __attribute__((target("avx2"))) inline u64 sumMaskedU64Avx2(const u64* words,
                                                             usize n,
                                                             u64 mask) {
@@ -849,6 +919,39 @@ inline bool minMax(std::span<const f64> values, f64* lo, f64* hi) {
   (void)values;
   (void)lo;
   (void)hi;
+  return false;
+}
+
+/// One block's entropy symbols min(zigzag(r[i]), escape) into `symbols`,
+/// with the number of adjacent symbol changes and of escape symbols (the
+/// v3 RLE candidate size); false = caller runs its scalar loop.
+inline bool symbolRuns(std::span<const i32> residuals, u16 escape,
+                       u16* symbols, u32* changes, u32* escapes) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && !residuals.empty() && residuals.size() % 8 == 0) {
+    detail::symbolRunsAvx2(residuals.data(), residuals.size(), escape,
+                           symbols, changes, escapes);
+    return true;
+  }
+#endif
+  (void)residuals;
+  (void)escape;
+  (void)symbols;
+  (void)changes;
+  (void)escapes;
+  return false;
+}
+
+/// i32 2-D Lorenzo residuals of an (n/8) x 8 tile when every |q| < 2^29;
+/// false (output unspecified) = caller runs its i64 reference walk.
+inline bool lorenzo2dI32(std::span<const i32> quants, i32* residuals) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && !quants.empty() && quants.size() % 8 == 0) {
+    return detail::lorenzo2dI32Avx2(quants.data(), quants.size(), residuals);
+  }
+#endif
+  (void)quants;
+  (void)residuals;
   return false;
 }
 

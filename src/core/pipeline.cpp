@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "entropy/huffman.hpp"
 
 namespace cuszp2::core {
@@ -34,29 +35,30 @@ u32 get32(const std::byte* p) {
   return v;
 }
 
-/// MSB-first bit packer over a caller-provided byte region (the region
-/// must be zeroed for the bits to OR in cleanly).
+/// MSB-first bit packer over a caller-provided byte region. Codes (at most
+/// 32 bits) collect in a 64-bit accumulator that leaves it as whole bytes,
+/// so fewer than 8 bits are pending between calls and every byte of the
+/// region is stored once; flush() writes the zero-padded last byte.
 struct MsbBitWriter {
   std::byte* out;
-  usize bitPos = 0;
+  u64 acc = 0;  // pending bits in the low `pending` positions
+  u32 pending = 0;
 
   void writeCode(u32 code, u8 len) {
-    for (i32 b = len - 1; b >= 0; --b) {
-      if ((code >> b) & 1u) {
-        out[bitPos >> 3] |= static_cast<std::byte>(0x80u >> (bitPos & 7));
-      }
-      ++bitPos;
+    acc = (acc << len) | code;
+    pending += len;
+    while (pending >= 8) {
+      pending -= 8;
+      *out++ = static_cast<std::byte>((acc >> pending) & 0xFFu);
+    }
+  }
+
+  void flush() {
+    if (pending > 0) {
+      *out++ = static_cast<std::byte>((acc << (8 - pending)) & 0xFFu);
     }
   }
 };
-
-u32 escapeCount(std::span<const u16> symbols) {
-  u32 escapes = 0;
-  for (u16 s : symbols) {
-    if (s == kEscapeSymbol) ++escapes;
-  }
-  return escapes;
-}
 
 }  // namespace
 
@@ -256,17 +258,38 @@ usize huffmanBlockBytes(std::span<const u16> symbols,
 }
 
 usize rleBlockBytes(std::span<const u16> symbols) {
+  // A run starts at a symbol change or when the previous run reached the
+  // 256-symbol cap of its u8 length byte.
   usize runs = 0;
-  usize i = 0;
-  while (i < symbols.size()) {
-    usize j = i + 1;
-    while (j < symbols.size() && symbols[j] == symbols[i] && j - i < 256) {
-      ++j;
-    }
-    ++runs;
-    i = j;
+  usize runLen = 0;
+  usize escapes = 0;
+  for (usize i = 0; i < symbols.size(); ++i) {
+    const bool starts =
+        i == 0 || symbols[i] != symbols[i - 1] || runLen == 256;
+    runs += starts;
+    runLen = starts ? 1 : runLen + 1;
+    escapes += symbols[i] == kEscapeSymbol;
   }
-  return 2 + runs * 3 + static_cast<usize>(escapeCount(symbols)) * 4;
+  return 2 + runs * 3 + escapes * 4;
+}
+
+usize symbolizeBlock(std::span<const i32> residuals, std::span<u16> symbols) {
+  u32 changes = 0;
+  u32 escapes = 0;
+  if (!simd::symbolRuns(residuals, kEscapeSymbol, symbols.data(), &changes,
+                        &escapes)) {
+    u16 prev = residuals.empty() ? 0 : symbolOf(residuals[0]);
+    for (usize i = 0; i < residuals.size(); ++i) {
+      const u16 s = symbolOf(residuals[i]);
+      symbols[i] = s;
+      changes += s != prev;
+      escapes += s == kEscapeSymbol;
+      prev = s;
+    }
+  }
+  // At most 256 symbols: the run cap never splits a run.
+  const usize runs = residuals.empty() ? 0 : usize{1} + changes;
+  return 2 + runs * 3 + static_cast<usize>(escapes) * 4;
 }
 
 usize encodeHuffmanBlock(std::span<const i32> residuals,
@@ -275,7 +298,6 @@ usize encodeHuffmanBlock(std::span<const i32> residuals,
   for (i32 r : residuals) bits += table.lengths[symbolOf(r)];
   const usize codedBytes = (bits + 7) / 8;
   put16(out, static_cast<u16>(bits));
-  std::fill(out + 2, out + 2 + codedBytes, std::byte{0});
   MsbBitWriter writer{out + 2};
   std::byte* escapes = out + 2 + codedBytes;
   for (i32 r : residuals) {
@@ -286,6 +308,7 @@ usize encodeHuffmanBlock(std::span<const i32> residuals,
       escapes += 4;
     }
   }
+  writer.flush();
   return static_cast<usize>(escapes - out);
 }
 
@@ -322,7 +345,6 @@ usize encodeRleBlock(std::span<const i32> residuals, std::byte* out) {
   std::byte* runs = out + 2;
   u32 runCount = 0;
   usize i = 0;
-  u32 escapes = 0;
   while (i < residuals.size()) {
     const u16 s = symbolOf(residuals[i]);
     usize j = i + 1;
@@ -334,7 +356,6 @@ usize encodeRleBlock(std::span<const i32> residuals, std::byte* out) {
     runs[2] = static_cast<std::byte>(j - i - 1);
     runs += 3;
     ++runCount;
-    if (s == kEscapeSymbol) escapes += static_cast<u32>(j - i);
     i = j;
   }
   put16(out, static_cast<u16>(runCount));
@@ -345,7 +366,6 @@ usize encodeRleBlock(std::span<const i32> residuals, std::byte* out) {
       esc += 4;
     }
   }
-  (void)escapes;
   return static_cast<usize>(esc - out);
 }
 
@@ -386,6 +406,9 @@ void decodeRleBlock(ConstByteSpan payload, std::span<i32> residuals) {
 
 bool lorenzo2dResiduals(std::span<const i32> quants,
                         std::span<i32> residuals) {
+  // i32 fast path, taken when every |q| < 2^29: no sum can overflow, so
+  // the residuals are exact and always representable.
+  if (simd::lorenzo2dI32(quants, residuals.data())) return true;
   const usize L = quants.size();
   const usize cols = 8;
   const usize rows = L / cols;

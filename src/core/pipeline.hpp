@@ -200,7 +200,14 @@ usize huffmanBlockBytes(std::span<const u16> symbols, const HuffTable& table);
 
 /// Exact encoded size of one block under the RLE pipeline:
 /// u16 run count + 3 bytes per (symbol, runLen-1) run + 4 per escape.
+/// Runs longer than 256 symbols split, as encodeRleBlock splits them.
 usize rleBlockBytes(std::span<const u16> symbols);
+
+/// The analysis pass's one walk over a block (at most 256 residuals, so
+/// the RLE run cap never splits a run): writes symbolOf(residuals[i]) into
+/// `symbols` and returns rleBlockBytes of those symbols, counting runs as
+/// 1 + the adjacent symbol changes.
+usize symbolizeBlock(std::span<const i32> residuals, std::span<u16> symbols);
 
 /// Encodes one block's residuals with the shared Huffman table. Returns
 /// bytes written (== huffmanBlockBytes of the mapped symbols).
@@ -221,7 +228,8 @@ void decodeRleBlock(ConstByteSpan payload, std::span<i32> residuals);
 /// Forward 2-D Lorenzo prediction over one block of quantization integers
 /// viewed as an (L/8) x 8 row-major tile (out-of-tile neighbours read 0).
 /// Returns false when any residual overflows i32 (the caller must then
-/// not select this pipeline for the block).
+/// not select this pipeline for the block). Blocks whose every |q| < 2^29
+/// take an i32 vector path (simd::lorenzo2dI32) and cannot overflow.
 bool lorenzo2dResiduals(std::span<const i32> quants, std::span<i32> residuals);
 
 /// Inverse: reconstructs quants from Lorenzo-2D residuals in raster order.

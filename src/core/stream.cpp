@@ -59,11 +59,13 @@ class TileSync {
 // profile assembly all live in stream_internal.hpp now.
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
+using detail::hostStage;
 using detail::makeProfile;
 using detail::outputAlloc;
 using detail::rangeReduce;
 using detail::residualsToQuants;
 using detail::secondOrderDiff;
+using detail::streamChecksum;
 
 /// Tile-local compression scratch, pre-partitioned into one slot per pool
 /// worker. A worker runs exactly one task at a time and each kernel-body
@@ -281,15 +283,17 @@ Compressed finishField(const Config& config,
     std::byte* footer = job.staging + finalBytes;
     const u64 numBlocks = job.header.numBlocks();
     const PayloadSizeTable psize(job.header.blockSize);
-    u64 cursor = 0;
-    for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize size = psize[offsets[blk]];
-      const u16 digest =
-          blockDigest(offsets[blk], ConstByteSpan(payload + cursor, size));
-      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
-      cursor += size;
-    }
+    hostStage("stream.footer_digest", numBlocks + totalPayload, [&] {
+      u64 cursor = 0;
+      for (u64 blk = 0; blk < numBlocks; ++blk) {
+        const usize size = psize[offsets[blk]];
+        const u16 digest =
+            blockDigest(offsets[blk], ConstByteSpan(payload + cursor, size));
+        footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
+        footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
+        cursor += size;
+      }
+    });
     finalBytes += job.header.footerBytes();
     checksumSeconds += static_cast<f64>(finalBytes) /
                            (timing.spec().memBandwidthGBps * 1e9) +
@@ -298,10 +302,8 @@ Compressed finishField(const Config& config,
 
   // Optional integrity stamp: CRC-32 over offsets + payload (+ footer).
   if (config.checksum) {
-    job.header.checksum = crc32(
-        ConstByteSpan(job.staging + StreamHeader::offsetsBegin(),
-                      finalBytes - StreamHeader::offsetsBegin()));
-    if (job.header.checksum == 0) job.header.checksum = 1;  // 0 = "absent"
+    job.header.checksum =
+        streamChecksum(ConstByteSpan(job.staging, finalBytes));
     job.header.serialize(job.staging);
     checksumSeconds += static_cast<f64>(finalBytes) /
                            (timing.spec().memBandwidthGBps * 1e9) +
@@ -641,11 +643,7 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   // Integrity check when the stream carries a checksum.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    require(crc == header.checksum,
+    require(streamChecksum(stream) == header.checksum,
             "decompress: checksum mismatch — the stream is corrupted");
     checksumSeconds = static_cast<f64>(stream.size()) /
                           (timing_.spec().memBandwidthGBps * 1e9) +
@@ -943,11 +941,7 @@ std::vector<DecompressedRaw> CompressorStream::decompressBatchRaw(
     job.header = StreamHeader::parse(stream);
 
     if (job.header.checksum != 0) {
-      u32 crc = crc32(ConstByteSpan(
-          stream.data() + StreamHeader::offsetsBegin(),
-          stream.size() - StreamHeader::offsetsBegin()));
-      if (crc == 0) crc = 1;
-      require(crc == job.header.checksum,
+      require(streamChecksum(stream) == job.header.checksum,
               "decompressBatch: checksum mismatch — the stream is "
               "corrupted");
       job.checksumSeconds += static_cast<f64>(stream.size()) /
@@ -1237,10 +1231,7 @@ Compressed CompressorStream::replaceBlocks(ConstByteSpan stream,
   // Keep the integrity stamp valid after the splice.
   if (header.checksum != 0) {
     StreamHeader patched = header;
-    patched.checksum = crc32(ConstByteSpan(
-        out.stream.data() + StreamHeader::offsetsBegin(),
-        out.stream.size() - StreamHeader::offsetsBegin()));
-    if (patched.checksum == 0) patched.checksum = 1;
+    patched.checksum = streamChecksum(out.stream);
     patched.serialize(out.stream.data());
   }
 
@@ -1292,11 +1283,7 @@ Salvaged<T> CompressorStream::decompressResilient(ConstByteSpan stream,
   // mismatch localizes nothing, the per-block pass below decides.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    rep.streamChecksumOk = (crc == header.checksum);
+    rep.streamChecksumOk = (streamChecksum(stream) == header.checksum);
     checksumSeconds = static_cast<f64>(stream.size()) /
                           (timing_.spec().memBandwidthGBps * 1e9) +
                       timing_.launchSeconds();

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/output_alloc.hpp"
 #include "common/simd.hpp"
@@ -126,6 +127,16 @@ template <typename T>
 void outputAlloc(std::vector<T>& out, u64 n, const T& fill) {
   hostStage("stream.output_alloc", n * sizeof(T),
             [&] { allocOutput(out, n, fill); });
+}
+
+/// The whole-stream CRC-32 stamp: everything after the fixed header
+/// (offsets/descriptors, dictionary, payload, footer), as host stage
+/// `stream.checksum`. Never 0, which the header reserves for "absent".
+inline u32 streamChecksum(ConstByteSpan stream) {
+  const ConstByteSpan covered = stream.subspan(StreamHeader::offsetsBegin());
+  u32 crc = 0;
+  hostStage("stream.checksum", covered.size(), [&] { crc = crc32(covered); });
+  return crc == 0 ? 1 : crc;
 }
 
 inline KernelProfile makeProfile(const gpusim::LaunchResult& launch,

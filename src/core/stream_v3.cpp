@@ -35,10 +35,12 @@ namespace {
 
 using detail::AccessRecorder;
 using detail::dequantizeSpan;
+using detail::hostStage;
 using detail::makeProfile;
 using detail::outputAlloc;
 using detail::rangeReduce;
 using detail::residualsToQuants;
+using detail::streamChecksum;
 
 void put32(std::byte* p, u32 v) {
   for (int i = 0; i < 4; ++i) {
@@ -254,7 +256,8 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
 
   // Phase 1 — quantize + delta-1 per block, map symbols, and gather the
   // candidate sizes the host selector needs. Same per-element analysis
-  // cost as the legacy pass 1, plus the RLE/Lorenzo candidate walks.
+  // cost as the legacy pass 1, plus the RLE/Lorenzo candidate walks (the
+  // RLE size falls out of the symbol mapping's own pass).
   gpusim::KernelDesc analyze;
   analyze.gridSize = tiles;
   analyze.name = "v3_analyze";
@@ -272,15 +275,14 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
                         std::span<const T>(data.data() + eFirst,
                                            eLast - eFirst),
                         r);
-      const std::span<u16> sym(symbols.data() + blk * L, L);
-      for (u32 i = 0; i < L; ++i) sym[i] = symbolOf(r[i]);
+      const usize rleBytes =
+          symbolizeBlock(r, std::span<u16>(symbols.data() + blk * L, L));
 
       BlockCandidates cand;
       cand.bytes[static_cast<u8>(PipelineId::Fle)] =
           codec.planResiduals(r, mode).payloadBytes;
       // Entropy candidates are charged their u16 size prefix so selection
       // compares true payload costs.
-      const usize rleBytes = rleBlockBytes(sym);
       cand.bytes[static_cast<u8>(PipelineId::Rle)] =
           rleBytes <= 0xFFFF ? rleBytes + kV3EntropyPrefixBytes
                              : kInvalidSize;
@@ -312,31 +314,34 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   usize tableBytes = 0;
   if (config_.pipeline == PipelineMode::Auto ||
       config_.pipeline == PipelineMode::Huffman) {
-    std::vector<u64> freq(kSymbolAlphabet, 0);
-    for (const u16 s : symbols) ++freq[s];
-    table = HuffTable::fromFrequencies(freq);
-    tableBytes = table.serializedBytes();
-    for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize bytes = huffmanBlockBytes(
-          std::span<const u16>(symbols.data() + blk * L, L), table);
-      candidates[blk].bytes[static_cast<u8>(PipelineId::Huffman)] =
-          bytes <= 0xFFFF ? bytes + kV3EntropyPrefixBytes : kInvalidSize;
-    }
+    hostStage("stream.v3.huffman_table", symbols.size_bytes(), [&] {
+      std::vector<u64> freq(kSymbolAlphabet, 0);
+      for (const u16 s : symbols) ++freq[s];
+      table = HuffTable::fromFrequencies(freq);
+      tableBytes = table.serializedBytes();
+      for (u64 blk = 0; blk < numBlocks; ++blk) {
+        const usize bytes = huffmanBlockBytes(
+            std::span<const u16>(symbols.data() + blk * L, L), table);
+        candidates[blk].bytes[static_cast<u8>(PipelineId::Huffman)] =
+            bytes <= 0xFFFF ? bytes + kV3EntropyPrefixBytes : kInvalidSize;
+      }
+    });
   }
 
-  const SelectionResult sel =
-      selectPipelines(candidates, config_.pipeline, tableBytes);
-  header.dictBytes =
-      static_cast<u32>(8 + (sel.usesHuffman ? tableBytes : 0));
-
+  SelectionResult sel;
   const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
   u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    blockStart[blk] = cursor;
-    cursor += candidates[blk].bytes[static_cast<u8>(sel.choice[blk])];
-  }
+  hostStage("stream.v3.select", candidates.size_bytes(), [&] {
+    sel = selectPipelines(candidates, config_.pipeline, tableBytes);
+    for (u64 blk = 0; blk < numBlocks; ++blk) {
+      blockStart[blk] = cursor;
+      cursor += candidates[blk].bytes[static_cast<u8>(sel.choice[blk])];
+    }
+  });
   require(cursor == sel.totalPayload,
           "compressV3: selection/prefix-sum size mismatch");
+  header.dictBytes =
+      static_cast<u32>(8 + (sel.usesHuffman ? tableBytes : 0));
 
   const usize payloadBegin = header.payloadBegin();
   const usize finalBytes = payloadBegin + static_cast<usize>(cursor) +
@@ -422,22 +427,21 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   // Per-block CRC footer (always present in v3) — one bandwidth pass over
   // the compressed bytes, same model as the legacy v2 footer.
   std::byte* footer = payload + cursor;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    const usize size =
-        candidates[blk].bytes[static_cast<u8>(sel.choice[blk])];
-    const u16 digest = blockDigestV3(
-        ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
-        ConstByteSpan(payload + blockStart[blk], size));
-    footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-    footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
-  }
+  hostStage("stream.footer_digest", numBlocks * kV3DescBytes + cursor, [&] {
+    for (u64 blk = 0; blk < numBlocks; ++blk) {
+      const usize size =
+          candidates[blk].bytes[static_cast<u8>(sel.choice[blk])];
+      const u16 digest = blockDigestV3(
+          ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
+          ConstByteSpan(payload + blockStart[blk], size));
+      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
+      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
+    }
+  });
   extraSeconds += bandwidthPassSeconds(timing_, finalBytes);
 
   if (config_.checksum) {
-    header.checksum = crc32(ConstByteSpan(
-        staging + StreamHeader::offsetsBegin(),
-        finalBytes - StreamHeader::offsetsBegin()));
-    if (header.checksum == 0) header.checksum = 1;  // 0 = "absent"
+    header.checksum = streamChecksum(ConstByteSpan(staging, finalBytes));
     header.serialize(staging);
     extraSeconds += bandwidthPassSeconds(timing_, finalBytes);
   }
@@ -461,11 +465,7 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   // budget, parsed the header and checked the precision tag.
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    require(crc == header.checksum,
+    require(streamChecksum(stream) == header.checksum,
             "decompress: checksum mismatch — the stream is corrupted");
     checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
   }
@@ -751,10 +751,7 @@ Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
 
   if (header.checksum != 0) {
     StreamHeader patched = header;
-    patched.checksum = crc32(ConstByteSpan(
-        out.stream.data() + StreamHeader::offsetsBegin(),
-        out.stream.size() - StreamHeader::offsetsBegin()));
-    if (patched.checksum == 0) patched.checksum = 1;
+    patched.checksum = streamChecksum(out.stream);
     patched.serialize(out.stream.data());
   }
 
@@ -778,11 +775,7 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
 
   f64 checksumSeconds = 0.0;
   if (header.checksum != 0) {
-    u32 crc = crc32(ConstByteSpan(
-        stream.data() + StreamHeader::offsetsBegin(),
-        stream.size() - StreamHeader::offsetsBegin()));
-    if (crc == 0) crc = 1;
-    rep.streamChecksumOk = (crc == header.checksum);
+    rep.streamChecksumOk = (streamChecksum(stream) == header.checksum);
     checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
   }
 

@@ -2,6 +2,7 @@
 // rounding mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,68 @@ TEST(Crc32, DetectsSingleBitFlips) {
     copy[pos] ^= static_cast<std::byte>(1u << bit);
     EXPECT_NE(crc32(copy), base) << "trial " << trial;
   }
+}
+
+/// Bytewise CRC-32, one table lookup per byte: the reference the
+/// slicing-by-8 implementation must match bit for bit.
+u32 crc32Bytewise(ConstByteSpan data, u32 seed) {
+  static const std::vector<u32> table = [] {
+    std::vector<u32> t(256);
+    for (u32 i = 0; i < 256; ++i) {
+      u32 c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  u32 c = seed ^ 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    c = table[(c ^ std::to_integer<u32>(b)) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::byte> randomBytes(u64 seed, usize n) {
+  Rng rng(seed);
+  std::vector<std::byte> data(n);
+  for (auto& b : data) b = static_cast<std::byte>(rng.uniformInt(256));
+  return data;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthOffsetAndSplit) {
+  const std::vector<std::byte> data = randomBytes(7, 80);
+  for (usize offset = 0; offset < 8; ++offset) {
+    for (usize len = 0; len <= 67; ++len) {
+      const ConstByteSpan s(data.data() + offset, len);
+      const u32 want = crc32Bytewise(s, 0);
+      ASSERT_EQ(crc32(s), want) << "offset " << offset << " len " << len;
+      ASSERT_EQ(crc32(s, 0x12345678u), crc32Bytewise(s, 0x12345678u))
+          << "offset " << offset << " len " << len;
+      for (usize split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32(s.subspan(split), crc32(s.first(split))), want)
+            << "offset " << offset << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceOverOneMiB) {
+  const std::vector<std::byte> data = randomBytes(11, usize{1} << 20);
+  const u32 want = crc32Bytewise(data, 0);
+  EXPECT_EQ(crc32(data), want);
+  // Chained over pieces of every length 0-67 in turn: each piece boundary
+  // is a split, at every alignment of the 8-byte steps.
+  const ConstByteSpan all(data);
+  u32 chained = 0;
+  usize pos = 0;
+  for (usize piece = 0; pos < all.size(); piece = (piece + 1) % 68) {
+    const usize len = std::min(piece, all.size() - pos);
+    chained = crc32(all.subspan(pos, len), chained);
+    pos += len;
+  }
+  EXPECT_EQ(chained, want);
 }
 
 // ---- Stream checksum --------------------------------------------------------

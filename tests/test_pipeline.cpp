@@ -6,6 +6,7 @@
 // service-layer rule that jobs never batch across pipeline policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/simd.hpp"
 #include "core/pipeline.hpp"
 #include "core/stream.hpp"
 #include "service/job.hpp"
@@ -210,6 +212,241 @@ TEST(PipelineStages, Lorenzo2dRoundTrip) {
   // Interior of a bilinear surface predicts exactly.
   EXPECT_EQ(residuals[9], 0);
   EXPECT_EQ(residuals[31], 0);
+}
+
+// ---- write-path byte identity ---------------------------------------------
+//
+// The v3 write path sizes and encodes blocks with word-at-a-time and SIMD
+// kernels. Each test below keeps the straightforward reference (the capped
+// run walk, the i64 Lorenzo walk, the bit-serial Huffman writer) and
+// checks the shipped function against it, in both dispatch modes where
+// the function dispatches.
+
+/// Restores the dispatch mode on scope exit.
+struct ModeGuard {
+  simd::Mode saved = simd::activeMode();
+  ~ModeGuard() { simd::setMode(saved); }
+};
+
+constexpr simd::Mode kModes[] = {simd::Mode::Scalar, simd::Mode::Native};
+
+std::vector<u16> symbolsOf(std::span<const i32> residuals) {
+  std::vector<u16> symbols;
+  for (const i32 r : residuals) symbols.push_back(core::symbolOf(r));
+  return symbols;
+}
+
+/// RLE size by the run walk encodeRleBlock performs (runs capped at 256).
+usize rleBytesByRunWalk(std::span<const u16> symbols) {
+  usize runs = 0;
+  usize escapes = 0;
+  usize i = 0;
+  while (i < symbols.size()) {
+    usize j = i + 1;
+    while (j < symbols.size() && symbols[j] == symbols[i] && j - i < 256) {
+      ++j;
+    }
+    ++runs;
+    if (symbols[i] == core::kEscapeSymbol) escapes += j - i;
+    i = j;
+  }
+  return 2 + runs * 3 + escapes * 4;
+}
+
+TEST(PipelineWritePath, RleSizeMatchesRunWalkAndEncoder) {
+  ModeGuard guard;
+  for (const usize L : {usize{8}, usize{32}, usize{256}}) {
+    std::vector<std::pair<std::string, std::vector<i32>>> blocks;
+    blocks.emplace_back("single run", std::vector<i32>(L, 7));
+    std::vector<i32> alternating(L);
+    for (usize i = 0; i < L; ++i) alternating[i] = i % 2 == 0 ? 1 : -1;
+    blocks.emplace_back("alternation", alternating);
+    // Distinct residuals that all map to the escape symbol form one run.
+    std::vector<i32> escapes(L);
+    for (usize i = 0; i < L; ++i) {
+      escapes[i] = (i % 2 == 0 ? 1 : -1) * ((1 << 20) + static_cast<i32>(i));
+    }
+    blocks.emplace_back("adjacent distinct escapes", escapes);
+    std::vector<i32> mixed(L);
+    u64 state = 0xabcdef ^ L;
+    for (usize i = 0; i < L; ++i) {
+      const u64 r = lcgNext(state) % 8;
+      mixed[i] = r < 4 ? 0 : r < 6 ? skewedResidual(state)
+                               : static_cast<i32>(lcgNext(state)) - (1 << 30);
+    }
+    blocks.emplace_back("mixed", mixed);
+
+    for (const auto& [what, residuals] : blocks) {
+      const std::vector<u16> symbols = symbolsOf(residuals);
+      const usize want = rleBytesByRunWalk(symbols);
+      EXPECT_EQ(core::rleBlockBytes(symbols), want) << what << " L=" << L;
+      std::vector<std::byte> payload(want);
+      EXPECT_EQ(core::encodeRleBlock(residuals, payload.data()), want)
+          << what << " L=" << L;
+      for (const simd::Mode mode : kModes) {
+        simd::setMode(mode);
+        std::vector<u16> got(L, 0xFFFF);
+        EXPECT_EQ(core::symbolizeBlock(residuals, got), want)
+            << what << " L=" << L << " mode=" << simd::modeName();
+        EXPECT_EQ(got, symbols) << what << " L=" << L;
+      }
+    }
+  }
+  // The single 256-run and the adjacent escapes are exactly one run each.
+  EXPECT_EQ(core::rleBlockBytes(std::vector<u16>(256, 3)), 2u + 3u);
+  EXPECT_EQ(core::rleBlockBytes(std::vector<u16>(256, core::kEscapeSymbol)),
+            2u + 3u + 256u * 4u);
+}
+
+/// The i64 reference walk lorenzo2dResiduals falls back to.
+bool lorenzo2dReference(std::span<const i32> quants, std::span<i32> out) {
+  for (usize i = 0; i < quants.size(); ++i) {
+    const usize r = i / 8;
+    const usize c = i % 8;
+    const i64 west = c > 0 ? quants[i - 1] : 0;
+    const i64 north = r > 0 ? quants[i - 8] : 0;
+    const i64 northWest = r > 0 && c > 0 ? quants[i - 9] : 0;
+    const i64 res = quants[i] - (west + north - northWest);
+    if (res < std::numeric_limits<i32>::min() ||
+        res > std::numeric_limits<i32>::max()) {
+      return false;
+    }
+    out[i] = static_cast<i32>(res);
+  }
+  return true;
+}
+
+TEST(PipelineWritePath, Lorenzo2dMatchesReferenceAtTheFastPathBound) {
+  ModeGuard guard;
+  // A checkerboard of +-(2^29 - 1) drives every residual to its extreme,
+  // 4 (2^29 - 1). With max |q| = 2^29 - 1 the block stays on the i32 fast
+  // path; raising one cell to 2^29 sends it to the i64 walk. Both must
+  // equal the reference.
+  constexpr i32 kFast = (1 << 29) - 1;
+  for (const i32 peak : {kFast, kFast + 1}) {
+    for (const usize L : {usize{8}, usize{64}, usize{256}}) {
+      std::vector<i32> quants(L);
+      for (usize i = 0; i < L; ++i) {
+        const bool neg = ((i / 8) + (i % 8)) % 2 == 1;
+        quants[i] = neg ? -kFast : kFast;
+      }
+      quants[L / 2] = ((L / 2 / 8) + (L / 2 % 8)) % 2 == 1 ? -peak : peak;
+      quants[L / 2 + 1] = 12345;  // break the pattern once
+      std::vector<i32> want(L);
+      ASSERT_TRUE(lorenzo2dReference(quants, want)) << peak;
+      {
+        simd::setMode(simd::Mode::Native);
+        std::vector<i32> scratch(L);
+        if (simd::nativeActive()) {
+          EXPECT_EQ(simd::lorenzo2dI32(quants, scratch.data()), peak == kFast)
+              << "peak=" << peak << " L=" << L;
+        }
+      }
+      for (const simd::Mode mode : kModes) {
+        simd::setMode(mode);
+        std::vector<i32> got(L, -7);
+        ASSERT_TRUE(core::lorenzo2dResiduals(quants, got))
+            << "peak=" << peak << " L=" << L << " " << simd::modeName();
+        EXPECT_EQ(got, want)
+            << "peak=" << peak << " L=" << L << " " << simd::modeName();
+      }
+    }
+  }
+}
+
+TEST(PipelineWritePath, Lorenzo2dReportsResidualOverflow) {
+  ModeGuard guard;
+  // Row 0 is a plain delta: INT32_MIN - INT32_MAX does not fit in i32.
+  std::vector<i32> quants(16, 0);
+  quants[0] = std::numeric_limits<i32>::max();
+  quants[1] = std::numeric_limits<i32>::min();
+  std::vector<i32> scratch(16);
+  ASSERT_FALSE(lorenzo2dReference(quants, scratch));
+  for (const simd::Mode mode : kModes) {
+    simd::setMode(mode);
+    EXPECT_FALSE(core::lorenzo2dResiduals(quants, scratch))
+        << simd::modeName();
+  }
+}
+
+/// The bit-serial Huffman writer: one bit at a time into a zeroed region.
+usize bitSerialHuffmanBlock(std::span<const i32> residuals,
+                            const HuffTable& table, std::byte* out) {
+  usize bits = 0;
+  for (const i32 r : residuals) bits += table.lengths[core::symbolOf(r)];
+  const usize codedBytes = (bits + 7) / 8;
+  out[0] = static_cast<std::byte>(bits & 0xFFu);
+  out[1] = static_cast<std::byte>(bits >> 8);
+  std::fill(out + 2, out + 2 + codedBytes, std::byte{0});
+  usize bitPos = 0;
+  std::byte* escapes = out + 2 + codedBytes;
+  for (const i32 r : residuals) {
+    const u16 s = core::symbolOf(r);
+    for (i32 b = table.lengths[s] - 1; b >= 0; --b) {
+      if ((table.codes[s] >> b) & 1u) {
+        out[2 + (bitPos >> 3)] |= static_cast<std::byte>(0x80u >> (bitPos & 7));
+      }
+      ++bitPos;
+    }
+    if (s == core::kEscapeSymbol) {
+      for (int k = 0; k < 4; ++k) {
+        escapes[k] = static_cast<std::byte>((static_cast<u32>(r) >> (8 * k)) &
+                                            0xFFu);
+      }
+      escapes += 4;
+    }
+  }
+  return static_cast<usize>(escapes - out);
+}
+
+TEST(PipelineWritePath, HuffmanWriterMatchesBitSerialWriter) {
+  // Geometric frequencies give every code length from 1 to 32.
+  std::vector<u64> freq(core::kSymbolAlphabet, 0);
+  for (u32 s = 0; s <= 30; ++s) freq[s] = u64{1} << (31 - s);
+  freq[31] = 1;
+  freq[core::kEscapeSymbol] = 1;
+  const HuffTable table = HuffTable::fromFrequencies(freq);
+  u8 longest = 0;
+  for (const u8 l : table.lengths) longest = std::max(longest, l);
+  ASSERT_EQ(longest, 32);
+
+  u64 state = 0x48756666;
+  for (const usize L : {usize{8}, usize{32}, usize{256}}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<i32> residuals(L);
+      for (i32& r : residuals) {
+        const u32 s = static_cast<u32>(lcgNext(state) % 33);
+        r = s == 32 ? static_cast<i32>(lcgNext(state)) | (1 << 20)
+                    : core::zigzagDecode(trial % 4 == 0 ? s % 3 : s);
+      }
+      const usize bytes = core::huffmanBlockBytes(symbolsOf(residuals), table);
+      std::vector<std::byte> want(bytes, std::byte{0xAA});
+      std::vector<std::byte> got(bytes, std::byte{0x55});
+      ASSERT_EQ(bitSerialHuffmanBlock(residuals, table, want.data()), bytes);
+      ASSERT_EQ(core::encodeHuffmanBlock(residuals, table, got.data()), bytes);
+      EXPECT_EQ(got, want) << "L=" << L << " trial=" << trial;
+    }
+  }
+}
+
+TEST(PipelineWritePath, AutoChecksumStreamsByteIdenticalAcrossModes) {
+  ModeGuard guard;
+  Config cfg = v3Config(PipelineMode::Auto);
+  cfg.checksum = true;
+  const std::vector<f32> field = mixedSelectionField(96, 13);
+  std::vector<std::byte> streams[2];
+  for (usize m = 0; m < 2; ++m) {
+    simd::setMode(kModes[m]);
+    CompressorStream codec(cfg);
+    streams[m] = codec.compress<f32>(std::span<const f32>(field)).stream;
+  }
+  EXPECT_EQ(streams[0], streams[1]);
+  usize huff = 0;
+  for (const PipelineId id : streamPipelines(streams[0])) {
+    huff += id == PipelineId::Huffman;
+  }
+  EXPECT_GE(huff, 16u);
+  EXPECT_NE(StreamHeader::parse(streams[0]).checksum, 0u);
 }
 
 TEST(PipelineStages, PipelineTableMatchesWireIds) {

@@ -79,6 +79,11 @@ TEST(SimdTest, ScalarModeNeverClaimsWork) {
   EXPECT_FALSE(simd::absI32(v, abs.data()));
   EXPECT_FALSE(simd::diffI32(v, res));
   EXPECT_FALSE(simd::prefixSumI32(v, res));
+  u16 symbols[64];
+  u32 changes = 0;
+  u32 escapes = 0;
+  EXPECT_FALSE(simd::symbolRuns(v, 1023, symbols, &changes, &escapes));
+  EXPECT_FALSE(simd::lorenzo2dI32(v, res));
 }
 
 TEST(SimdTest, QuantizeDiffPrefixMatchesScalarF32) {

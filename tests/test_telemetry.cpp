@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "core/stream.hpp"
@@ -216,13 +217,19 @@ TEST(TraceSessionTest, StreamRoundTripEmitsKernelEvents) {
 }
 
 // The host work between kernels shows up in traces as named complete
-// events: the REL bound's range pass once per compress (ABS skips it), and
-// one output allocation per decode, each sized in bytes.
+// events: the REL bound's range pass once per compress (ABS skips it), one
+// output allocation per decode, and — on a v3 Auto+CRC compress — the
+// Huffman table, the selection, the footer digests and the stream CRC,
+// which the decode of that stream verifies again. Each is sized in bytes.
 TEST(TraceSessionTest, HostStagesAppearAsCompleteEvents) {
   const std::vector<f32> field = datagen::generateF32("cesm_atm", 0, 4096);
   const u64 fieldBytes = field.size() * sizeof(f32);
+  core::Config v3cfg{.absErrorBound = 1e-3};
+  v3cfg.checksum = true;
+  v3cfg.pipeline = core::PipelineMode::Auto;
 
   TraceSession trace;
+  core::Compressed v3;
   {
     telemetry::ScopedTrace scoped(trace);
     core::CompressorStream codec(core::Config{.relErrorBound = 1e-3});
@@ -232,27 +239,45 @@ TEST(TraceSessionTest, HostStagesAppearAsCompleteEvents) {
     codec.decompressResilient<f32>(c.stream);
     codec.reconfigure(core::Config{.absErrorBound = 1e-3});
     codec.compress<f32>(std::span<const f32>(field));
+    codec.reconfigure(v3cfg);
+    v3 = codec.compress<f32>(std::span<const f32>(field));
+    codec.decompress<f32>(v3.stream);
   }
 
-  std::vector<f64> rangeBytes;
-  std::vector<f64> allocBytes;
+  std::map<std::string, std::vector<f64>> bytes;
   for (const TraceEvent& e : trace.events()) {
-    if (e.name != "stream.range_reduce" && e.name != "stream.output_alloc") {
-      continue;
-    }
+    if (!e.name.starts_with("stream.")) continue;
     EXPECT_EQ(e.phase, 'X') << e.name;
     EXPECT_GE(e.durUs, 0.0) << e.name;
     ASSERT_EQ(e.args.size(), 1u) << e.name;
     EXPECT_EQ(e.args[0].key, "bytes");
-    (e.name == "stream.range_reduce" ? rangeBytes : allocBytes)
-        .push_back(e.args[0].number);
+    bytes[e.name].push_back(e.args[0].number);
   }
-  EXPECT_EQ(rangeBytes, std::vector<f64>{static_cast<f64>(fieldBytes)});
+  EXPECT_EQ(bytes["stream.range_reduce"],
+            std::vector<f64>{static_cast<f64>(fieldBytes)});
   const u64 blockL = core::Config{}.blockSize;
-  EXPECT_EQ(allocBytes,
+  EXPECT_EQ(bytes["stream.output_alloc"],
             (std::vector<f64>{static_cast<f64>(fieldBytes),
                               static_cast<f64>(2 * blockL * sizeof(f32)),
+                              static_cast<f64>(fieldBytes),
                               static_cast<f64>(fieldBytes)}));
+
+  const core::StreamHeader h = core::StreamHeader::parse(v3.stream);
+  const u64 numBlocks = h.numBlocks();
+  EXPECT_EQ(bytes["stream.v3.huffman_table"],
+            std::vector<f64>{static_cast<f64>(numBlocks * blockL * 2)});
+  EXPECT_EQ(bytes["stream.v3.select"],
+            std::vector<f64>{static_cast<f64>(
+                numBlocks * sizeof(core::BlockCandidates))});
+  // Descriptors plus payload: everything between the dictionary and the
+  // footer, one descriptor byte per block.
+  EXPECT_EQ(bytes["stream.footer_digest"],
+            std::vector<f64>{static_cast<f64>(
+                numBlocks + v3.stream.size() - h.payloadBegin() -
+                h.footerBytes())});
+  const f64 crcBytes =
+      static_cast<f64>(v3.stream.size() - core::StreamHeader::kBytes);
+  EXPECT_EQ(bytes["stream.checksum"], (std::vector<f64>{crcBytes, crcBytes}));
 }
 
 // The global registry's per-kernel table aggregates the same launches.

@@ -46,7 +46,9 @@ echo "==== [release] ctest -L fast, CUSZP2_SIMD=native ===="
 # Format-v3 CLI smoke: a shaped field through the auto and pinned-huffman
 # pipelines end to end (compress, info, verify) in the shipped binary.
 # Guards the --pipeline plumbing and the v3 wire paths as users reach
-# them, not only as the unit suites do.
+# them, not only as the unit suites do. The auto leg also stamps the
+# stream CRC-32 (--checksum), so the binary's checksum write and verify
+# run through both the 8-byte slicing steps and the bytewise tail.
 echo "==== [release] cuszp2 --pipeline auto/huffman smoke ===="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
@@ -64,9 +66,11 @@ for b in range(64):
 open(sys.argv[1], "wb").write(struct.pack("<%df" % len(vals), *vals))
 PYEOF
 for p in auto huffman; do
+  checksum_flag=""
+  if [ "${p}" = auto ]; then checksum_flag="--checksum"; fi
   "${repo_root}/build-ci-release/tools/cuszp2" compress \
     "${smoke_dir}/in.f32" "${smoke_dir}/out-${p}.czp2" \
-    --abs 0.01 --pipeline "${p}"
+    --abs 0.01 --pipeline "${p}" ${checksum_flag}
   "${repo_root}/build-ci-release/tools/cuszp2" info \
     "${smoke_dir}/out-${p}.czp2"
   "${repo_root}/build-ci-release/tools/cuszp2" verify \

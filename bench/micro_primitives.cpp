@@ -104,6 +104,20 @@ void BM_PackPlanes(benchmark::State& state) {
 }
 BENCHMARK(BM_PackPlanes)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(31);
 
+void BM_UnpackPlanes(benchmark::State& state) {
+  const u32 fl = static_cast<u32>(state.range(0));
+  Rng rng(3);
+  std::vector<std::byte> planes(fl * 4);
+  for (auto& b : planes) b = static_cast<std::byte>(rng.next());
+  std::vector<u32> vals(32);
+  for (auto _ : state) {
+    core::unpackPlanes(planes.data(), fl, vals);
+    benchmark::DoNotOptimize(vals.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_UnpackPlanes)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(31);
+
 void BM_DeviceScan(benchmark::State& state) {
   const auto algo = state.range(0) == 0 ? scan::Algorithm::ChainedScan
                                         : scan::Algorithm::DecoupledLookback;

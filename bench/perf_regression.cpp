@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -77,7 +78,7 @@ constexpr WallBudget kWallBudgets[] = {
     {"service/unbatched", 45.0},     {"service/batched_decompress", 20.0},
     {"service/chaos", 80.0},         {"cluster/failover", 90.0},
     {"ratio/v3", 60.0},              {"ratio/v2crc", 14.0},
-    {"cas/dedup", 25.0},
+    {"ratio/v3_decompress", 10.0},   {"cas/dedup", 25.0},
     // fsync-barrier bound, not CPU bound: budget leaves room for a slow
     // or contended disk (two passes x (10 journal syncs + 10 snapshots)).
     {"cas/journal", 90.0},
@@ -771,7 +772,9 @@ int main(int argc, char** argv) {
   // wins are the point of format v3, so this case hard-fails the run —
   // not a warning — if the v3 stream stops being smaller than the v2 one.
   // The ratio/v2crc row times that v2 writer, so the pair shows what the
-  // v3 ratio costs in host wall time.
+  // v3 ratio costs in host wall time. The ratio/v3_decompress row times
+  // the strict decode of the v3 stream (layout validation, dictionary,
+  // every pipeline's block decoder).
   {
     const std::vector<f32> field = datagen::generateF32("jetin", 0, elems);
     core::Config v2cfg;
@@ -801,17 +804,31 @@ int main(int argc, char** argv) {
       deterministic = false;
     }
 
-    const auto addRow = [&](const char* name, const core::Config& cfg,
-                            const Modelled& m) {
-      core::CompressorStream codec(cfg);
+    // The v3 stream's strict decode, twice for the determinism check.
+    core::CompressorStream v3codec(v3cfg);
+    const std::vector<std::byte> v3stream =
+        v3codec.compress<f32>(std::span<const f32>(field)).stream;
+    const auto decodePass = [&] {
+      const auto d = v3codec.decompress<f32>(v3stream);
+      return Modelled{v3a.ratio, d.profile.endToEndSeconds,
+                      d.profile.endToEndGBps};
+    };
+    const Modelled v3d = decodePass();
+    if (!(v3d == decodePass())) {
+      std::fprintf(stderr, "FAIL ratio/v3_decompress: modelled metrics "
+                           "differ between runs\n");
+      deterministic = false;
+    }
+
+    const auto addRow = [&](const char* name, const Modelled& m,
+                            const std::function<void()>& op) {
       CaseResult r;
       r.name = name;
       r.elems = field.size();
       r.ratio = m.ratio;
       r.modelledSeconds = m.seconds;
       r.modelledGBps = m.gbps;
-      r.wall = bench::measureRepeated(
-          5, [&] { codec.compress<f32>(std::span<const f32>(field)); });
+      r.wall = bench::measureRepeated(5, op);
       std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms\n",
                   r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian());
 
@@ -828,8 +845,13 @@ int main(int argc, char** argv) {
       }
       results.push_back(std::move(r));
     };
-    addRow("ratio/v3", v3cfg, v3a);
-    addRow("ratio/v2crc", v2cfg, v2a);
+    core::CompressorStream v2codec(v2cfg);
+    addRow("ratio/v3", v3a,
+           [&] { v3codec.compress<f32>(std::span<const f32>(field)); });
+    addRow("ratio/v2crc", v2a,
+           [&] { v2codec.compress<f32>(std::span<const f32>(field)); });
+    addRow("ratio/v3_decompress", v3d,
+           [&] { v3codec.decompress<f32>(v3stream); });
     std::printf("%-24s v3 auto ratio is %+.1f%% on the v2 fle ratio\n", "",
                 100.0 * (v3a.ratio / v2a.ratio - 1.0));
   }

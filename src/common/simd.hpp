@@ -1,6 +1,7 @@
 // Host SIMD dispatch for the hot codec kernels (quantize+diff, bit-plane
 // pack/unpack, prefix sums, dequantize), the REL bound's min/max range
-// reduction and the v3 analysis pass (symbol runs, Lorenzo-2D residuals).
+// reduction, the v3 analysis pass (symbol runs, Lorenzo-2D residuals,
+// Huffman block sizes) and the v3 Lorenzo-2D reconstruction.
 // The compressed format is defined by the scalar kernels; every vector
 // path here must be byte-identical to its scalar counterpart —
 // integer kernels trivially, the float kernels by doing all arithmetic in
@@ -281,7 +282,8 @@ __attribute__((target("avx2"))) inline void diffI32Avx2(const i32* v,
     p = _mm256_extract_epi32(q, 7);
   }
   for (; i < n; ++i) {
-    out[i] = v[i] - p;
+    // u32 arithmetic: the difference wraps exactly like the vector lanes.
+    out[i] = static_cast<i32>(static_cast<u32>(v[i]) - static_cast<u32>(p));
     p = v[i];
   }
 }
@@ -312,9 +314,121 @@ __attribute__((target("avx2"))) inline void absAndPackSignsAvx2(
   }
 }
 
+/// Transposes the 8x8 bit matrix held in each u64 lane (byte r, bit c ->
+/// byte c, bit r) by three masked xor-shift swaps: of single bits across
+/// the diagonal, then of 2x2 and 4x4 sub-blocks.
+__attribute__((target("avx2"))) inline __m256i transpose8x8Bits(__m256i x) {
+  __m256i t = _mm256_and_si256(_mm256_xor_si256(x, _mm256_srli_epi64(x, 7)),
+                               _mm256_set1_epi64x(0x00AA00AA00AA00AALL));
+  x = _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 7)));
+  t = _mm256_and_si256(_mm256_xor_si256(x, _mm256_srli_epi64(x, 14)),
+                       _mm256_set1_epi64x(0x0000CCCC0000CCCCLL));
+  x = _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 14)));
+  t = _mm256_and_si256(_mm256_xor_si256(x, _mm256_srli_epi64(x, 28)),
+                       _mm256_set1_epi64x(0x00000000F0F0F0F0LL));
+  return _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 28)));
+}
+
+// Bit planes of a 32-value block: each plane is 4 bytes, so plane p is
+// dword p and byte j of it holds bit p of values 8j..8j+7. Eight planes
+// (one 256-bit chunk) and eight values form an 8x8 bit matrix per byte
+// column j, so a chunk converts between plane order and value order with
+// one byte shuffle, one dword permute and one bit transpose per u64. Only
+// the first min(8, fl - 8c) plane dwords of chunk c are loaded or stored
+// (masked), so nothing outside the block's fl * 4 plane bytes is touched.
+
+/// Lane mask selecting the plane dwords of chunk `c` below `fl`.
+__attribute__((target("avx2"))) inline __m256i planeChunkMask(u32 fl, u32 c) {
+  const i32 planes = static_cast<i32>(fl - 8 * c);
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(planes),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Within each 128-bit lane, byte 4a + b <-> byte 4b + a (self-inverse):
+/// plane dwords <-> per-byte-column groups of four planes.
+__attribute__((target("avx2"))) inline __m256i planeByteTranspose(__m256i x) {
+  return _mm256_shuffle_epi8(
+      x, _mm256_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11,
+                          15, 0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7,
+                          11, 15));
+}
+
+__attribute__((target("avx2"))) inline void packPlanes32Avx2(const u32* vals,
+                                                             u32 fl,
+                                                             std::byte* out) {
+  const __m256i v0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals));
+  const __m256i v1 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + 8));
+  const __m256i v2 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + 16));
+  const __m256i v3 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + 24));
+  const __m256i byteMask = _mm256_set1_epi32(0xFF);
+  for (u32 c = 0; 8 * c < fl; ++c) {
+    // Byte c of every value, in value order: the two saturating packs are
+    // exact on 0..255 and leave the dword groups as (0, 8, 16, 24 | 4, 12,
+    // 20, 28), which the permute puts back in order.
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(8 * c));
+    __m256i x = _mm256_packus_epi16(
+        _mm256_packus_epi32(
+            _mm256_and_si256(_mm256_srl_epi32(v0, shift), byteMask),
+            _mm256_and_si256(_mm256_srl_epi32(v1, shift), byteMask)),
+        _mm256_packus_epi32(
+            _mm256_and_si256(_mm256_srl_epi32(v2, shift), byteMask),
+            _mm256_and_si256(_mm256_srl_epi32(v3, shift), byteMask)));
+    x = _mm256_permutevar8x32_epi32(x,
+                                    _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+    // u64 j now holds values 8j..8j+7 (rows) x 8 planes (columns).
+    x = transpose8x8Bits(x);
+    x = planeByteTranspose(_mm256_permutevar8x32_epi32(
+        x, _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7)));
+    _mm256_maskstore_epi32(reinterpret_cast<int*>(out + 32 * c),
+                           planeChunkMask(fl, c), x);
+  }
+}
+
+__attribute__((target("avx2"))) inline void unpackPlanes32Avx2(
+    const std::byte* in, u32 fl, u32* vals) {
+  __m256i v0 = _mm256_setzero_si256();
+  __m256i v1 = v0;
+  __m256i v2 = v0;
+  __m256i v3 = v0;
+  for (u32 c = 0; 8 * c < fl; ++c) {
+    __m256i x = _mm256_maskload_epi32(
+        reinterpret_cast<const int*>(in + 32 * c), planeChunkMask(fl, c));
+    // u64 j = byte j of planes 0..7 (rows) x values 8j..8j+7 (columns).
+    x = _mm256_permutevar8x32_epi32(planeByteTranspose(x),
+                                    _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+    // Byte i now holds value i's bits of planes 8c..8c+7.
+    x = transpose8x8Bits(x);
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(8 * c));
+    const __m128i lo = _mm256_castsi256_si128(x);
+    const __m128i hi = _mm256_extracti128_si256(x, 1);
+    v0 = _mm256_or_si256(v0, _mm256_sll_epi32(_mm256_cvtepu8_epi32(lo), shift));
+    v1 = _mm256_or_si256(
+        v1, _mm256_sll_epi32(_mm256_cvtepu8_epi32(_mm_srli_si128(lo, 8)),
+                             shift));
+    v2 = _mm256_or_si256(v2, _mm256_sll_epi32(_mm256_cvtepu8_epi32(hi), shift));
+    v3 = _mm256_or_si256(
+        v3, _mm256_sll_epi32(_mm256_cvtepu8_epi32(_mm_srli_si128(hi, 8)),
+                             shift));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals), v0);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 8), v1);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 16), v2);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 24), v3);
+}
+
 __attribute__((target("avx2"))) inline void packPlanesAvx2(const u32* vals,
                                                            usize n, u32 fl,
                                                            std::byte* out) {
+  // A single plane is one movemask per byte column, cheaper than the
+  // transpose's fixed cost; from two planes up the transpose ties or wins
+  // (BM_PackPlanes).
+  if (n == 32 && fl > 1) {
+    packPlanes32Avx2(vals, fl, out);
+    return;
+  }
   const usize pb = n / 8;
   for (usize j = 0; j < pb; ++j) {
     const __m256i v = _mm256_loadu_si256(
@@ -333,6 +447,10 @@ __attribute__((target("avx2"))) inline void packPlanesAvx2(const u32* vals,
 
 __attribute__((target("avx2"))) inline void unpackPlanesAvx2(
     const std::byte* in, usize n, u32 fl, u32* vals) {
+  if (n == 32) {
+    unpackPlanes32Avx2(in, fl, vals);
+    return;
+  }
   const usize pb = n / 8;
   const __m256i laneBits =
       _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
@@ -378,23 +496,43 @@ __attribute__((target("avx2"))) inline __m256i scan8Epi32(__m256i x) {
       x, _mm256_blend_epi32(_mm256_setzero_si256(), lowTotal, 0xF0));
 }
 
+/// The running total stays in a vector register: lane 7 of each scanned
+/// group is broadcast into the next group's carry, with no trip through a
+/// general-purpose register.
 __attribute__((target("avx2"))) inline void prefixSumI32Avx2(const i32* in,
                                                              usize n,
                                                              i32* out) {
-  i32 carry = 0;
+  const __m256i lastLane = _mm256_set1_epi32(7);
+  __m256i carry = _mm256_setzero_si256();
   usize i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256i x = scan8Epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i)));
-    const __m256i withCarry =
-        _mm256_add_epi32(x, _mm256_set1_epi32(carry));
+    const __m256i withCarry = _mm256_add_epi32(
+        scan8Epi32(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i))),
+        carry);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), withCarry);
-    carry = _mm256_extract_epi32(withCarry, 7);
+    carry = _mm256_permutevar8x32_epi32(withCarry, lastLane);
   }
+  u32 acc = static_cast<u32>(_mm256_cvtsi256_si32(carry));
   for (; i < n; ++i) {
-    carry = static_cast<i32>(static_cast<u32>(carry) +
-                             static_cast<u32>(in[i]));
-    out[i] = carry;
+    acc += static_cast<u32>(in[i]);
+    out[i] = static_cast<i32>(acc);
+  }
+}
+
+/// Inverse of the 2-D Lorenzo predictor over an (n/8) x 8 tile. Row r's
+/// column differences d_r = q_r - q_{r-1} are the inclusive scan of its
+/// residuals, so q_r = q_{r-1} + scan(res_r). Everything wraps in i32,
+/// which equals the scalar "sum in i64, then truncate" modulo 2^32 for
+/// every input. `n` is a nonzero multiple of 8.
+__attribute__((target("avx2"))) inline void lorenzo2dReconstructAvx2(
+    const i32* res, usize n, i32* q) {
+  __m256i row = _mm256_setzero_si256();
+  for (usize i = 0; i < n; i += 8) {
+    row = _mm256_add_epi32(
+        row, scan8Epi32(_mm256_loadu_si256(
+                 reinterpret_cast<const __m256i*>(res + i))));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + i), row);
   }
 }
 
@@ -596,6 +734,49 @@ __attribute__((target("avx2"))) inline bool lorenzo2dI32Avx2(const i32* q,
   const __m256i limit = _mm256_set1_epi32((1 << 29) - 1);
   return _mm256_movemask_epi8(_mm256_cmpeq_epi32(
              _mm256_max_epu32(maxAbs, limit), limit)) == -1;
+}
+
+/// Total code length of n symbols (n a nonzero multiple of 8) and their
+/// escape count; false when some symbol has length 0. The gather reads the
+/// whole dword holding lengths[s] (index s / 4) and shifts the byte out,
+/// so `lengths` must hold a multiple of 4 entries and every symbol must
+/// index inside it.
+__attribute__((target("avx2"))) inline bool huffmanBitsAvx2(
+    const u16* sym, usize n, const u8* lengths, u16 escape, u64* bits,
+    u32* escapes) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i escV = _mm256_set1_epi32(escape);
+  __m256i sum = zero;
+  __m256i esc = zero;
+  __m256i missing = zero;
+  for (usize i = 0; i < n; i += 8) {
+    const __m256i s = _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(sym + i)));
+    const __m256i words = _mm256_i32gather_epi32(
+        reinterpret_cast<const int*>(lengths), _mm256_srli_epi32(s, 2), 4);
+    const __m256i len = _mm256_and_si256(
+        _mm256_srlv_epi32(
+            words, _mm256_slli_epi32(
+                       _mm256_and_si256(s, _mm256_set1_epi32(3)), 3)),
+        _mm256_set1_epi32(0xFF));
+    sum = _mm256_add_epi32(sum, len);
+    missing = _mm256_or_si256(missing, _mm256_cmpeq_epi32(len, zero));
+    esc = _mm256_sub_epi32(esc, _mm256_cmpeq_epi32(s, escV));
+  }
+  if (!_mm256_testz_si256(missing, missing)) return false;
+  alignas(32) u32 sums[8];
+  alignas(32) u32 escs[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(sums), sum);
+  _mm256_store_si256(reinterpret_cast<__m256i*>(escs), esc);
+  u64 b = 0;
+  u32 e = 0;
+  for (usize k = 0; k < 8; ++k) {
+    b += sums[k];
+    e += escs[k];
+  }
+  *bits = b;
+  *escapes = e;
+  return true;
 }
 
 __attribute__((target("avx2"))) inline u64 sumMaskedU64Avx2(const u64* words,
@@ -952,6 +1133,44 @@ inline bool lorenzo2dI32(std::span<const i32> quants, i32* residuals) {
 #endif
   (void)quants;
   (void)residuals;
+  return false;
+}
+
+/// 2-D Lorenzo reconstruction of an (n/8) x 8 tile in wrapping i32 (the
+/// scalar i64 walk truncated, for every input); false = caller runs it.
+inline bool lorenzo2dReconstructI32(std::span<const i32> residuals,
+                                    i32* quants) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && !residuals.empty() && residuals.size() % 8 == 0) {
+    detail::lorenzo2dReconstructAvx2(residuals.data(), residuals.size(),
+                                     quants);
+    return true;
+  }
+#endif
+  (void)residuals;
+  (void)quants;
+  return false;
+}
+
+/// Huffman block sizing gather: the summed code lengths of `symbols` and
+/// their escape count. Returns false when the caller must run its scalar
+/// loop, which it also does to report a symbol missing from the table.
+/// Every symbol must index inside `lengths`.
+inline bool huffmanBits(std::span<const u16> symbols,
+                        std::span<const u8> lengths, u16 escape, u64* bits,
+                        u32* escapes) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && !symbols.empty() && symbols.size() % 8 == 0 &&
+      lengths.size() % 4 == 0) {
+    return detail::huffmanBitsAvx2(symbols.data(), symbols.size(),
+                                   lengths.data(), escape, bits, escapes);
+  }
+#endif
+  (void)symbols;
+  (void)lengths;
+  (void)escape;
+  (void)bits;
+  (void)escapes;
   return false;
 }
 

@@ -222,10 +222,77 @@ HuffDecoder::HuffDecoder(const HuffTable& table) {
     const u8 l = table.lengths[s];
     if (l > 0) symbols_[cursor[l]++] = static_cast<u16>(s);
   }
+
+  // Each code of length l <= k owns the 2^(k-l) table entries it
+  // prefixes. Canonical codes of one length never prefix another's, so
+  // the entries are disjoint; a code that does not fit in l bits (an
+  // over-full table) can never match the walk either and is left out.
+  lookupBits_ = std::min<u32>(maxLen_, kLookupBits);
+  lookup_.assign(usize{1} << lookupBits_, 0);
+  for (u32 len = 1; len <= lookupBits_; ++len) {
+    for (u32 i = 0; i < symbolBase_[len + 1] - symbolBase_[len]; ++i) {
+      const u64 code = u64{firstCode_[len]} + i;
+      if (code >> len != 0) break;
+      const u32 entry =
+          (static_cast<u32>(symbols_[symbolBase_[len] + i]) << 8) | len;
+      const usize first = static_cast<usize>(code) << (lookupBits_ - len);
+      std::fill_n(lookup_.begin() + static_cast<std::ptrdiff_t>(first),
+                  usize{1} << (lookupBits_ - len), entry);
+    }
+  }
 }
 
-u16 HuffDecoder::decodeSymbol(const std::byte* bits, usize bitLimit,
-                              usize& bitPos) const {
+namespace {
+
+/// The 64 bits from byte bitPos / 8 on, shifted left by bitPos % 8 so the
+/// top 57 bits are the stream's bits at bitPos; bytes at or past
+/// `byteLimit` read as zero.
+u64 peek64(const std::byte* bits, usize byteLimit, usize bitPos) {
+  const usize first = bitPos >> 3;
+  u64 window = 0;
+  if (first + 8 <= byteLimit) {
+    for (usize i = 0; i < 8; ++i) {
+      window = (window << 8) | std::to_integer<u64>(bits[first + i]);
+    }
+  } else {
+    for (usize i = first; i < first + 8; ++i) {
+      window = (window << 8) |
+               (i < byteLimit ? std::to_integer<u64>(bits[i]) : u64{0});
+    }
+  }
+  return window << (bitPos & 7);
+}
+
+}  // namespace
+
+void HuffDecoder::decodeSymbols(const std::byte* bits, usize bitLimit,
+                                usize& bitPos,
+                                std::span<u16> symbols) const {
+  const usize byteLimit = (bitLimit + 7) / 8;
+  usize i = 0;
+  while (i < symbols.size()) {
+    // Probe codes out of a 57-bit window until it runs low, the table has
+    // no entry, or the code would end past the limit; the walk then takes
+    // that one symbol and its exact error.
+    u64 window = peek64(bits, byteLimit, bitPos);
+    u32 avail = 57;
+    bool walk = lookupBits_ == 0;
+    while (!walk && i < symbols.size() && avail >= lookupBits_) {
+      const u32 entry = lookup_[window >> (64 - lookupBits_)];
+      const u32 len = entry & 0xFFu;
+      walk = len == 0 || bitPos + len > bitLimit;
+      if (walk) break;
+      symbols[i++] = static_cast<u16>(entry >> 8);
+      window <<= len;
+      avail -= len;
+      bitPos += len;
+    }
+    if (walk) symbols[i++] = decodeSymbolCanonical(bits, bitLimit, bitPos);
+  }
+}
+
+u16 HuffDecoder::decodeSymbolCanonical(const std::byte* bits, usize bitLimit,
+                                       usize& bitPos) const {
   u32 code = 0;
   for (u32 len = 1; len <= maxLen_; ++len) {
     require(bitPos < bitLimit, "Huffman block: bit stream overrun");
@@ -234,8 +301,8 @@ u16 HuffDecoder::decodeSymbol(const std::byte* bits, usize bitLimit,
     ++bitPos;
     code = (code << 1) | bit;
     const u32 count = symbolBase_[len + 1] - symbolBase_[len];
-    if (count > 0 && code >= firstCode_[len] &&
-        code < firstCode_[len] + count) {
+    // Compared as an offset: firstCode + count reaches 2^32 at length 32.
+    if (code >= firstCode_[len] && code - firstCode_[len] < count) {
       return symbols_[symbolBase_[len] + (code - firstCode_[len])];
     }
   }
@@ -246,6 +313,13 @@ u16 HuffDecoder::decodeSymbol(const std::byte* bits, usize bitLimit,
 
 usize huffmanBlockBytes(std::span<const u16> symbols,
                         const HuffTable& table) {
+  u64 codeBits = 0;
+  u32 escapeCount = 0;
+  if (simd::huffmanBits(symbols, table.lengths, kEscapeSymbol, &codeBits,
+                        &escapeCount)) {
+    return 2 + static_cast<usize>((codeBits + 7) / 8) +
+           static_cast<usize>(escapeCount) * 4;
+  }
   usize bits = 0;
   u32 escapes = 0;
   for (u16 s : symbols) {
@@ -324,15 +398,37 @@ void decodeHuffmanBlock(ConstByteSpan payload, const HuffDecoder& decoder,
   const usize escapeAvail = payload.size() - 2 - codedBytes;
   usize escapeUsed = 0;
   usize bitPos = 0;
-  for (i32& r : residuals) {
-    const u16 s = decoder.decodeSymbol(bits, bitCount, bitPos);
-    if (s == kEscapeSymbol) {
-      require(escapeUsed + 4 <= escapeAvail,
+  u16 symbols[256];
+  for (usize first = 0; first < residuals.size(); first += 256) {
+    const usize count = std::min<usize>(256, residuals.size() - first);
+    // Symbols decode ahead of the escape reads, so when a code fails, an
+    // escape shortage before it is the block's first error in stream
+    // order and is reported instead. Slots the decoder never reached keep
+    // a value outside the alphabet.
+    std::fill_n(symbols, count, u16{0xFFFF});
+    try {
+      decoder.decodeSymbols(bits, bitCount, bitPos,
+                            std::span<u16>(symbols, count));
+    } catch (const Error&) {
+      usize needed = escapeUsed;
+      for (usize k = 0; k < count && symbols[k] != 0xFFFF; ++k) {
+        needed += symbols[k] == kEscapeSymbol ? 4 : 0;
+      }
+      require(needed <= escapeAvail,
               "Huffman block: truncated escape section");
-      r = static_cast<i32>(get32(escapes + escapeUsed));
-      escapeUsed += 4;
-    } else {
-      r = zigzagDecode(s);
+      throw;
+    }
+    for (usize k = 0; k < count; ++k) {
+      const u16 s = symbols[k];
+      i32& r = residuals[first + k];
+      if (s == kEscapeSymbol) {
+        require(escapeUsed + 4 <= escapeAvail,
+                "Huffman block: truncated escape section");
+        r = static_cast<i32>(get32(escapes + escapeUsed));
+        escapeUsed += 4;
+      } else {
+        r = zigzagDecode(s);
+      }
     }
   }
   require(bitPos == bitCount,
@@ -431,6 +527,7 @@ bool lorenzo2dResiduals(std::span<const i32> quants,
 
 void lorenzo2dReconstruct(std::span<const i32> residuals,
                           std::span<i32> quants) {
+  if (simd::lorenzo2dReconstructI32(residuals, quants.data())) return;
   const usize L = residuals.size();
   const usize cols = 8;
   const usize rows = L / cols;

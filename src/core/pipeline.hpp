@@ -175,21 +175,39 @@ struct HuffTable {
   static HuffTable parse(ConstByteSpan bytes);
 };
 
-/// Canonical decoder over a HuffTable (first-code-per-length walk,
-/// MSB-first). Built once per decode call, reused for every block.
+/// Canonical decoder over a HuffTable, MSB-first. Built once per decode
+/// call, reused for every block. A 2^k-entry lookup table (k = min(max
+/// code length, kLookupBits)) resolves every code of at most k bits in one
+/// probe of a 64-bit window; longer codes, unused prefixes and codes
+/// running past the bit limit fall back to the first-code-per-length walk.
 class HuffDecoder {
  public:
   explicit HuffDecoder(const HuffTable& table);
 
-  /// Decodes one symbol from the MSB-first bit cursor. Throws on an
-  /// invalid code or bit-stream overrun.
-  u16 decodeSymbol(const std::byte* bits, usize bitLimit, usize& bitPos) const;
+  /// Decodes symbols.size() symbols from the MSB-first bit cursor, which
+  /// it advances past them. Throws on an invalid code or bit-stream
+  /// overrun with the canonical walk's error text. Reads no byte at or
+  /// past (bitLimit + 7) / 8.
+  void decodeSymbols(const std::byte* bits, usize bitLimit, usize& bitPos,
+                     std::span<u16> symbols) const;
+
+  /// Decodes one symbol with the bit-at-a-time canonical walk that
+  /// decodeSymbols falls back to; same contract. Also the reference the
+  /// lookup table is tested against.
+  u16 decodeSymbolCanonical(const std::byte* bits, usize bitLimit,
+                            usize& bitPos) const;
 
  private:
+  static constexpr u32 kLookupBits = 11;
+
   u8 maxLen_ = 0;
+  u32 lookupBits_ = 0;
   std::vector<u32> firstCode_;            // per length
   std::vector<u32> symbolBase_;           // index into symbols_ per length
   std::vector<u16> symbols_;              // canonical order
+  /// Indexed by the next lookupBits_ bits: symbol << 8 | code length, or
+  /// 0 when no code of at most lookupBits_ bits is a prefix of them.
+  std::vector<u32> lookup_;
 };
 
 // ---- per-block encode/decode --------------------------------------------
@@ -232,7 +250,9 @@ void decodeRleBlock(ConstByteSpan payload, std::span<i32> residuals);
 /// take an i32 vector path (simd::lorenzo2dI32) and cannot overflow.
 bool lorenzo2dResiduals(std::span<const i32> quants, std::span<i32> residuals);
 
-/// Inverse: reconstructs quants from Lorenzo-2D residuals in raster order.
+/// Inverse: reconstructs quants from Lorenzo-2D residuals in raster order,
+/// summing in i64 and truncating to i32 (simd::lorenzo2dReconstructI32
+/// computes the same values in wrapping i32).
 void lorenzo2dReconstruct(std::span<const i32> residuals,
                           std::span<i32> quants);
 

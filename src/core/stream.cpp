@@ -365,9 +365,9 @@ bool compressWriteDigestsMatch(const FieldJob& job, u32 bpt) {
 /// [digestFirst, digestFirst + digestCount) must match. Throws Error
 /// naming the failing block index and byte offset. Returns the total
 /// payload size.
-u64 validateStrictLayout(const char* api, const StreamHeader& header,
-                         ConstByteSpan stream, u64 digestFirst,
-                         u64 digestCount) {
+u64 walkStrictLayout(const char* api, const StreamHeader& header,
+                     ConstByteSpan stream, u64 digestFirst,
+                     u64 digestCount) {
   const u32 L = header.blockSize;
   const u64 numBlocks = header.numBlocks();
   const usize payloadBegin = header.payloadBegin();
@@ -414,6 +414,17 @@ u64 validateStrictLayout(const char* api, const StreamHeader& header,
                 ") — the stream is corrupted or truncated");
   }
   return cursor;
+}
+
+/// walkStrictLayout as host stage `stream.validate`.
+u64 validateStrictLayout(const char* api, const StreamHeader& header,
+                         ConstByteSpan stream, u64 digestFirst,
+                         u64 digestCount) {
+  u64 total = 0;
+  hostStage("stream.validate", stream.size(), [&] {
+    total = walkStrictLayout(api, header, stream, digestFirst, digestCount);
+  });
+  return total;
 }
 
 }  // namespace

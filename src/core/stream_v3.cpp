@@ -5,8 +5,9 @@
 // them, replacing the legacy single kernel + decoupled-lookback scan:
 //
 //   "v3_analyze"  quantize + delta-1 per block, store residuals/symbols,
-//                 gather per-block candidate sizes for every pipeline
-//   (host)        whole-stream symbol histogram -> shared Huffman table,
+//                 gather per-block candidate sizes for every pipeline and
+//                 per-worker symbol histograms
+//   (host)        reduced symbol histogram -> shared Huffman table,
 //                 per-block Huffman sizes, selectPipelines(), prefix sum
 //                 of the chosen sizes into exact payload positions
 //   "v3_encode"   encode each block with its selected pipeline at its
@@ -24,6 +25,7 @@
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/block_codec.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
@@ -79,9 +81,9 @@ u16 footerDigestAt(const std::byte* footer, u64 blk) {
 /// on the footer, and the per-block digests covering [digestFirst,
 /// digestFirst + digestCount) must match. Fills `blockStart` (exclusive
 /// prefix positions) when non-empty and returns the total payload size.
-u64 validateV3Layout(const char* api, const StreamHeader& header,
-                     ConstByteSpan stream, u64 digestFirst, u64 digestCount,
-                     std::span<u64> blockStart = {}) {
+u64 walkV3Layout(const char* api, const StreamHeader& header,
+                 ConstByteSpan stream, u64 digestFirst, u64 digestCount,
+                 std::span<u64> blockStart) {
   const u64 numBlocks = header.numBlocks();
   const usize payloadBegin = header.payloadBegin();
   const usize footerB = header.footerBytes();
@@ -136,6 +138,18 @@ u64 validateV3Layout(const char* api, const StreamHeader& header,
   return cursor;
 }
 
+/// walkV3Layout as host stage `stream.validate`.
+u64 validateV3Layout(const char* api, const StreamHeader& header,
+                     ConstByteSpan stream, u64 digestFirst, u64 digestCount,
+                     std::span<u64> blockStart) {
+  u64 total = 0;
+  hostStage("stream.validate", stream.size(), [&] {
+    total = walkV3Layout(api, header, stream, digestFirst, digestCount,
+                         blockStart);
+  });
+  return total;
+}
+
 /// Strict parse of the v3 dictionary section: [u32 tableBytes][u32 CRC-32]
 /// [serialized table]. Returns an empty table for a stream that ships no
 /// Huffman blocks (tableBytes == 0).
@@ -154,6 +168,19 @@ HuffTable parseDictV3(const char* api, const StreamHeader& header,
           "Huffman table is corrupted");
   if (tableBytes == 0) return {};
   return HuffTable::parse(tableSpan);
+}
+
+/// parseDictV3 plus the decoder build, as host stage
+/// `stream.v3.dictionary`. Empty for a stream without Huffman blocks.
+std::optional<HuffDecoder> loadDecoderV3(const char* api,
+                                         const StreamHeader& header,
+                                         ConstByteSpan stream) {
+  std::optional<HuffDecoder> decoder;
+  hostStage("stream.v3.dictionary", header.dictBytes, [&] {
+    const HuffTable table = parseDictV3(api, header, stream);
+    if (!table.empty()) decoder.emplace(table);
+  });
+  return decoder;
 }
 
 /// Decodes one v3 block's payload into quantization integers (full padded
@@ -254,6 +281,20 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   const std::span<BlockCandidates> candidates =
       arena_.allocSpan<BlockCandidates>(numBlocks);
 
+  // Symbol histogram slots for the shared Huffman table, one per pool
+  // worker (a worker runs one task at a time, so slots never alias). Each
+  // slot holds kHistLanes sub-histograms indexed by element position mod
+  // kHistLanes, so a run of equal symbols bumps different counters instead
+  // of chaining every increment through one.
+  const bool wantTable = config_.pipeline == PipelineMode::Auto ||
+                         config_.pipeline == PipelineMode::Huffman;
+  constexpr usize kHistLanes = 4;
+  constexpr usize kHistSlot = kHistLanes * kSymbolAlphabet;
+  const usize workers = launcher_.workerCount();
+  const std::span<u64> histSlots =
+      arena_.allocSpan<u64>(wantTable ? workers * kHistSlot : 0);
+  std::fill(histSlots.begin(), histSlots.end(), u64{0});
+
   // Phase 1 — quantize + delta-1 per block, map symbols, and gather the
   // candidate sizes the host selector needs. Same per-element analysis
   // cost as the legacy pass 1, plus the RLE/Lorenzo candidate walks (the
@@ -267,6 +308,13 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
     i32 quantsArr[256];
     i32 lorenzoArr[256];
     u64 elemsRead = 0;
+    u64* hist = nullptr;
+    if (wantTable) {
+      const usize w = ThreadPool::currentWorkerIndex();
+      require(w < workers, "compressV3: kernel body ran outside its worker "
+                           "pool");
+      hist = histSlots.data() + w * kHistSlot;
+    }
     for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
       const u64 eFirst = blk * L;
       const u64 eLast = std::min<u64>(n, eFirst + L);
@@ -275,8 +323,17 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
                         std::span<const T>(data.data() + eFirst,
                                            eLast - eFirst),
                         r);
-      const usize rleBytes =
-          symbolizeBlock(r, std::span<u16>(symbols.data() + blk * L, L));
+      const std::span<u16> sym(symbols.data() + blk * L, L);
+      const usize rleBytes = symbolizeBlock(r, sym);
+      if (hist != nullptr) {
+        static_assert(kHistLanes == 4, "the count below is unrolled by 4");
+        for (usize i = 0; i < L; i += kHistLanes) {  // L % 8 == 0
+          ++hist[sym[i]];
+          ++hist[kSymbolAlphabet + sym[i + 1]];
+          ++hist[2 * kSymbolAlphabet + sym[i + 2]];
+          ++hist[3 * kSymbolAlphabet + sym[i + 3]];
+        }
+      }
 
       BlockCandidates cand;
       cand.bytes[static_cast<u8>(PipelineId::Fle)] =
@@ -308,15 +365,18 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   const auto analyzeLaunch = launcher_.launch(
       analyze.gridSize, analyze.body, analyze.blocksPerTask, {}, analyze.name);
 
-  // Host stage — shared Huffman table from the whole-stream histogram,
-  // per-block Huffman candidate sizes, pipeline selection, prefix sum.
+  // Host stage — shared Huffman table from the reduced whole-stream
+  // histogram, per-block Huffman candidate sizes, pipeline selection,
+  // prefix sum.
   HuffTable table;
   usize tableBytes = 0;
-  if (config_.pipeline == PipelineMode::Auto ||
-      config_.pipeline == PipelineMode::Huffman) {
+  if (wantTable) {
     hostStage("stream.v3.huffman_table", symbols.size_bytes(), [&] {
       std::vector<u64> freq(kSymbolAlphabet, 0);
-      for (const u16 s : symbols) ++freq[s];
+      for (usize slot = 0; slot < workers * kHistLanes; ++slot) {
+        const u64* sub = histSlots.data() + slot * kSymbolAlphabet;
+        for (usize s = 0; s < kSymbolAlphabet; ++s) freq[s] += sub[s];
+      }
       table = HuffTable::fromFrequencies(freq);
       tableBytes = table.serializedBytes();
       for (u64 blk = 0; blk < numBlocks; ++blk) {
@@ -489,9 +549,8 @@ Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
   // bytes (v3 always carries the footer).
   checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
 
-  const HuffTable table = parseDictV3("decompress", header, stream);
-  std::optional<HuffDecoder> decoder;
-  if (!table.empty()) decoder.emplace(table);
+  const std::optional<HuffDecoder> decoder =
+      loadDecoderV3("decompress", header, stream);
 
   const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
   const std::byte* payload = stream.data() + header.payloadBegin();
@@ -562,9 +621,8 @@ BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
   const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
   validateV3Layout("decompressBlocks", header, stream, firstBlock,
                    blockCount, blockStart);
-  const HuffTable table = parseDictV3("decompressBlocks", header, stream);
-  std::optional<HuffDecoder> decoder;
-  if (!table.empty()) decoder.emplace(table);
+  const std::optional<HuffDecoder> decoder =
+      loadDecoderV3("decompressBlocks", header, stream);
 
   const u32 L = header.blockSize;
   const u32 bpt = config_.blocksPerTile;
@@ -790,14 +848,12 @@ void CompressorStream::salvageV3(ConstByteSpan stream,
 
   // Dictionary verdict: a damaged section header, CRC, or table quarantines
   // every Huffman block but leaves the table-free pipelines decodable.
-  HuffTable table;
+  std::optional<HuffDecoder> decoder;
   try {
-    table = parseDictV3("decompressResilient", header, stream);
+    decoder = loadDecoderV3("decompressResilient", header, stream);
   } catch (const Error&) {
     rep.dictionaryOk = false;
   }
-  std::optional<HuffDecoder> decoder;
-  if (rep.dictionaryOk && !table.empty()) decoder.emplace(table);
 
   const usize payloadBegin = header.payloadBegin();
   const usize footerB = header.footerBytes();

@@ -44,10 +44,11 @@ class CliTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
-  int run(const std::string& args) const {
+  /// Runs the CLI with `args`; `env` prefixes VAR=value assignments.
+  int run(const std::string& args, const std::string& env = "") const {
     const std::string cmd =
-        std::string(CUSZP2_CLI_PATH) + " " + args + " > " + file("log.txt") +
-        " 2>&1";
+        env + " " + std::string(CUSZP2_CLI_PATH) + " " + args + " > " +
+        file("log.txt") + " 2>&1";
     const int rc = std::system(cmd.c_str());
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
   }
@@ -81,6 +82,59 @@ TEST_F(CliTest, CompressDecompressVerifyPipeline) {
   ASSERT_EQ(run("verify " + file("in.f32") + " " + file("out.czp2")), 0)
       << lastLog();
   EXPECT_NE(lastLog().find("Pass error check!"), std::string::npos);
+}
+
+// A v3 Auto+CRC stream is a pure function of the input: the per-worker
+// symbol histograms reduce to the same table at any pool size, and the
+// vector and scalar kernels write the same bytes. Decoding is checked the
+// same way.
+TEST_F(CliTest, V3StreamsIdenticalAcrossPoolSizesAndSimdModes) {
+  // Zero blocks, skewed noise with spikes (Huffman) and noisy 4x8 ramps
+  // that rise steeply along the row (Lorenzo), so the selector mixes
+  // pipelines.
+  std::vector<f32> field;
+  Rng rng(5);
+  for (u32 blk = 0; blk < 4096; ++blk) {
+    i64 q = 0;
+    const i64 slope = 16 + static_cast<i64>(rng.next() % 15);
+    for (u32 i = 0; i < 32; ++i) {
+      if (blk % 3 == 1) {
+        q += static_cast<i64>(rng.next() % 3) - 1 + (i == 10 ? 37 : 0);
+      } else if (blk % 3 == 2) {
+        q = slope * (i % 8) + 2 * (i / 8) +
+            static_cast<i64>(rng.next() % 7) - 3;
+      }
+      field.push_back(static_cast<f32>(static_cast<f64>(q) * 0.02));
+    }
+  }
+  io::writeRaw<f32>(file("mixed.f32"), field);
+
+  const char* envs[] = {"CUSZP2_WORKERS=1 CUSZP2_SIMD=scalar",
+                        "CUSZP2_WORKERS=4 CUSZP2_SIMD=scalar",
+                        "CUSZP2_WORKERS=1 CUSZP2_SIMD=native",
+                        "CUSZP2_WORKERS=4 CUSZP2_SIMD=native"};
+  std::vector<std::vector<std::byte>> streams;
+  std::vector<std::vector<std::byte>> decoded;
+  for (usize k = 0; k < std::size(envs); ++k) {
+    const std::string out = file("mixed" + std::to_string(k) + ".czp2");
+    const std::string rec = file("mixed" + std::to_string(k) + ".f32");
+    ASSERT_EQ(run("compress " + file("mixed.f32") + " " + out +
+                      " --abs 0.01 --pipeline auto --checksum",
+                  envs[k]),
+              0)
+        << envs[k] << "\n" << lastLog();
+    ASSERT_EQ(run("decompress " + out + " " + rec, envs[k]), 0)
+        << envs[k] << "\n" << lastLog();
+    streams.push_back(io::readBytes(out));
+    decoded.push_back(io::readBytes(rec));
+  }
+  for (usize k = 1; k < streams.size(); ++k) {
+    EXPECT_EQ(streams[k], streams[0]) << envs[k];
+    EXPECT_EQ(decoded[k], decoded[0]) << envs[k];
+  }
+  ASSERT_EQ(run("info " + file("mixed0.czp2")), 0) << lastLog();
+  EXPECT_NE(lastLog().find("huffman="), std::string::npos) << lastLog();
+  EXPECT_NE(lastLog().find("lorenzo-fle="), std::string::npos) << lastLog();
 }
 
 TEST_F(CliTest, PlainModeAndAbsBound) {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/simd.hpp"
 #include "core/pipeline.hpp"
 #include "core/stream.hpp"
@@ -399,13 +400,30 @@ usize bitSerialHuffmanBlock(std::span<const i32> residuals,
   return static_cast<usize>(escapes - out);
 }
 
-TEST(PipelineWritePath, HuffmanWriterMatchesBitSerialWriter) {
-  // Geometric frequencies give every code length from 1 to 32.
+/// Geometric frequencies over symbols 0-31 plus the escape: a table with
+/// every code length from 1 to 32.
+HuffTable allLengthsTable() {
   std::vector<u64> freq(core::kSymbolAlphabet, 0);
   for (u32 s = 0; s <= 30; ++s) freq[s] = u64{1} << (31 - s);
   freq[31] = 1;
   freq[core::kEscapeSymbol] = 1;
-  const HuffTable table = HuffTable::fromFrequencies(freq);
+  return HuffTable::fromFrequencies(freq);
+}
+
+/// A block of L residuals over allLengthsTable()'s symbols; every fourth
+/// trial sticks to the three shortest codes.
+std::vector<i32> allLengthsBlock(usize L, int trial, u64& state) {
+  std::vector<i32> residuals(L);
+  for (i32& r : residuals) {
+    const u32 s = static_cast<u32>(lcgNext(state) % 33);
+    r = s == 32 ? static_cast<i32>(lcgNext(state)) | (1 << 20)
+                : core::zigzagDecode(trial % 4 == 0 ? s % 3 : s);
+  }
+  return residuals;
+}
+
+TEST(PipelineWritePath, HuffmanWriterMatchesBitSerialWriter) {
+  const HuffTable table = allLengthsTable();
   u8 longest = 0;
   for (const u8 l : table.lengths) longest = std::max(longest, l);
   ASSERT_EQ(longest, 32);
@@ -413,12 +431,7 @@ TEST(PipelineWritePath, HuffmanWriterMatchesBitSerialWriter) {
   u64 state = 0x48756666;
   for (const usize L : {usize{8}, usize{32}, usize{256}}) {
     for (int trial = 0; trial < 40; ++trial) {
-      std::vector<i32> residuals(L);
-      for (i32& r : residuals) {
-        const u32 s = static_cast<u32>(lcgNext(state) % 33);
-        r = s == 32 ? static_cast<i32>(lcgNext(state)) | (1 << 20)
-                    : core::zigzagDecode(trial % 4 == 0 ? s % 3 : s);
-      }
+      const std::vector<i32> residuals = allLengthsBlock(L, trial, state);
       const usize bytes = core::huffmanBlockBytes(symbolsOf(residuals), table);
       std::vector<std::byte> want(bytes, std::byte{0xAA});
       std::vector<std::byte> got(bytes, std::byte{0x55});
@@ -447,6 +460,262 @@ TEST(PipelineWritePath, AutoChecksumStreamsByteIdenticalAcrossModes) {
   }
   EXPECT_GE(huff, 16u);
   EXPECT_NE(StreamHeader::parse(streams[0]).checksum, 0u);
+}
+
+// ---- read-path equivalence ------------------------------------------------
+//
+// The v3 read path decodes Huffman codes through a lookup table and
+// rebuilds Lorenzo blocks with a vector scan. Each test keeps the
+// straightforward reference (the canonical bit walk, the scalar i64
+// reconstruction) and checks the shipped path against it.
+
+/// What one decoder makes of bits [0, bitLimit): every symbol with the bit
+/// position after it, then the error that ends the walk (decoding goes one
+/// symbol past the limit, so a clean walk ends in an overrun).
+struct DecodeTrace {
+  std::vector<std::pair<u16, usize>> steps;
+  std::string error;
+
+  bool operator==(const DecodeTrace&) const = default;
+};
+
+/// One symbol through the lookup-table decoder.
+u16 decodeOne(const HuffDecoder& decoder, const std::byte* bits,
+              usize bitLimit, usize& bitPos) {
+  u16 s = 0;
+  decoder.decodeSymbols(bits, bitLimit, bitPos, std::span<u16>(&s, 1));
+  return s;
+}
+
+template <typename Decode>
+DecodeTrace traceDecode(const Decode& decode, usize bitLimit) {
+  DecodeTrace t;
+  usize bitPos = 0;
+  try {
+    for (;;) {
+      const u16 s = decode(bitLimit, bitPos);
+      t.steps.emplace_back(s, bitPos);
+    }
+  } catch (const Error& e) {
+    t.error = e.what();
+  }
+  return t;
+}
+
+/// Table lookup and canonical walk over the same bits, cut at `bitLimit`.
+void expectSameDecode(const HuffDecoder& decoder, const std::byte* bits,
+                      usize bitLimit, const std::string& what) {
+  const DecodeTrace table = traceDecode(
+      [&](usize limit, usize& pos) {
+        return decodeOne(decoder, bits, limit, pos);
+      },
+      bitLimit);
+  const DecodeTrace walk = traceDecode(
+      [&](usize limit, usize& pos) {
+        return decoder.decodeSymbolCanonical(bits, limit, pos);
+      },
+      bitLimit);
+  EXPECT_EQ(table, walk) << what << " bitLimit=" << bitLimit << " table: "
+                         << table.error << " walk: " << walk.error;
+  // The same symbols in one call, which reuses its bit window across them.
+  std::vector<u16> batch(walk.steps.size() + 1, 0xFFFF);
+  usize pos = 0;
+  std::string error;
+  try {
+    decoder.decodeSymbols(bits, bitLimit, pos, batch);
+  } catch (const Error& e) {
+    error = e.what();
+  }
+  EXPECT_EQ(error, walk.error) << what << " bitLimit=" << bitLimit;
+  for (usize k = 0; k < walk.steps.size(); ++k) {
+    ASSERT_EQ(batch[k], walk.steps[k].first)
+        << what << " bitLimit=" << bitLimit << " symbol " << k;
+  }
+}
+
+/// The code section of one encoded Huffman block (bit count, bytes).
+std::pair<usize, std::vector<std::byte>> codedBits(
+    std::span<const i32> residuals, const HuffTable& table) {
+  std::vector<std::byte> payload(
+      core::huffmanBlockBytes(symbolsOf(residuals), table));
+  core::encodeHuffmanBlock(residuals, table, payload.data());
+  const usize bitCount = std::to_integer<usize>(payload[0]) |
+                         (std::to_integer<usize>(payload[1]) << 8);
+  return {bitCount, std::vector<std::byte>(
+                        payload.begin() + 2,
+                        payload.begin() + 2 + static_cast<std::ptrdiff_t>(
+                                                  (bitCount + 7) / 8))};
+}
+
+TEST(PipelineReadPath, TableDecoderMatchesCanonicalWalk) {
+  // Code lengths 1-32: codes up to 11 bits resolve in the table, the rest
+  // take the walk. Every block is decoded whole and cut at every bit.
+  const HuffTable table = allLengthsTable();
+  const HuffDecoder decoder(table);
+  u64 state = 0x7ab1e;
+  for (const usize L : {usize{8}, usize{32}, usize{256}}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::vector<i32> residuals = allLengthsBlock(L, trial, state);
+      const auto [bitCount, bits] = codedBits(residuals, table);
+      std::vector<i32> decoded(L);
+      std::vector<std::byte> payload(
+          core::huffmanBlockBytes(symbolsOf(residuals), table));
+      core::encodeHuffmanBlock(residuals, table, payload.data());
+      core::decodeHuffmanBlock(payload, decoder, decoded);
+      EXPECT_EQ(decoded, residuals) << "L=" << L << " trial=" << trial;
+      for (usize cut = 0; cut <= bitCount; ++cut) {
+        expectSameDecode(decoder, bits.data(), cut,
+                         "L=" + std::to_string(L) + " trial=" +
+                             std::to_string(trial));
+      }
+    }
+  }
+  // Random bits read as codes of every length, valid or not.
+  std::vector<std::byte> noise(64);
+  for (std::byte& b : noise) b = static_cast<std::byte>(lcgNext(state));
+  expectSameDecode(decoder, noise.data(), noise.size() * 8, "noise");
+}
+
+TEST(PipelineReadPath, SingleSymbolTable) {
+  std::vector<u64> freq(core::kSymbolAlphabet, 0);
+  freq[4] = 100;
+  const HuffTable table = HuffTable::fromFrequencies(freq);
+  const HuffDecoder decoder(table);
+  const std::vector<i32> residuals(32, core::zigzagDecode(4));
+  const auto [bitCount, bits] = codedBits(residuals, table);
+  ASSERT_EQ(bitCount, 32u * table.lengths[4]);
+  for (usize cut = 0; cut <= bitCount; ++cut) {
+    expectSameDecode(decoder, bits.data(), cut, "single symbol");
+  }
+  // The other one-bit pattern is no code at all.
+  const std::byte ones[2] = {std::byte{0xFF}, std::byte{0xFF}};
+  usize pos = 0;
+  try {
+    decodeOne(decoder, ones, 16, pos);
+    ADD_FAILURE() << "decoded a code the table does not have";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "Huffman block: invalid code in stream");
+  }
+  expectSameDecode(decoder, ones, 16, "single symbol, ones");
+}
+
+TEST(PipelineReadPath, UnusedCodePrefixIsAnInvalidCode) {
+  // Lengths {1, 3} leave the prefixes 101 and 11 unassigned (the table
+  // parser admits incomplete codes: the Kraft sum is only bounded above).
+  const std::byte wire[] = {std::byte{2},    std::byte{0}, std::byte{0},
+                            std::byte{0},    std::byte{1}, std::byte{1},
+                            std::byte{0},    std::byte{3}};
+  const HuffTable table = HuffTable::parse(wire);
+  const HuffDecoder decoder(table);
+  // 0 | 100 | 0 | 101...: symbols 0, 1, 0, then an unused prefix.
+  const std::byte bits[2] = {std::byte{0b01000101}, std::byte{0b10000000}};
+  usize pos = 0;
+  EXPECT_EQ(decodeOne(decoder, bits, 16, pos), 0u);
+  EXPECT_EQ(decodeOne(decoder, bits, 16, pos), 1u);
+  EXPECT_EQ(decodeOne(decoder, bits, 16, pos), 0u);
+  try {
+    decodeOne(decoder, bits, 16, pos);
+    ADD_FAILURE() << "decoded the unused prefix 101";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "Huffman block: invalid code in stream");
+  }
+  for (usize cut = 0; cut <= 16; ++cut) {
+    expectSameDecode(decoder, bits, cut, "unused prefix");
+  }
+  const std::byte ones[1] = {std::byte{0xFF}};
+  expectSameDecode(decoder, ones, 8, "unused prefix 11");
+}
+
+TEST(PipelineReadPath, EscapeShortageBeforeABadCodeIsReportedFirst) {
+  // Codes 0 -> "0", escape -> "10"; "11" is unused. The block's first
+  // symbol is an escape with no escape bytes behind it, and its second
+  // code is invalid: stream order makes the escape shortage the error.
+  const std::byte wire[] = {std::byte{2}, std::byte{0},    std::byte{0},
+                            std::byte{0}, std::byte{1},    std::byte{0xFF},
+                            std::byte{3}, std::byte{2}};
+  const HuffDecoder decoder(HuffTable::parse(wire));
+  const std::byte payload[] = {std::byte{4}, std::byte{0},
+                               std::byte{0b10110000}};
+  std::vector<i32> residuals(8);
+  try {
+    core::decodeHuffmanBlock(payload, decoder, residuals);
+    ADD_FAILURE() << "decoded a block with no escape bytes";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "Huffman block: truncated escape section");
+  }
+}
+
+TEST(PipelineReadPath, HuffmanBlockBytesMatchAcrossModes) {
+  ModeGuard guard;
+  const HuffTable table = allLengthsTable();
+  u64 state = 0x5a5a;
+  for (const usize L : {usize{8}, usize{32}, usize{256}}) {
+    for (int trial = 0; trial < 16; ++trial) {
+      std::vector<u16> symbols = symbolsOf(allLengthsBlock(L, trial, state));
+      usize bits = 0;
+      usize escapes = 0;
+      for (const u16 s : symbols) {
+        bits += table.lengths[s];
+        escapes += s == core::kEscapeSymbol;
+      }
+      const usize want = 2 + (bits + 7) / 8 + escapes * 4;
+      if (trial % 4 == 3) symbols[lcgNext(state) % L] = 700;  // no code
+      for (const simd::Mode mode : kModes) {
+        simd::setMode(mode);
+        EXPECT_EQ(core::huffmanBlockBytes(symbols, table),
+                  trial % 4 == 3 ? core::kInvalidSize : want)
+            << "L=" << L << " trial=" << trial << " " << simd::modeName();
+      }
+    }
+  }
+}
+
+TEST(PipelineReadPath, Lorenzo2dReconstructMatchesScalarAtFullRange) {
+  ModeGuard guard;
+  constexpr i32 kMin = std::numeric_limits<i32>::min();
+  constexpr i32 kMax = std::numeric_limits<i32>::max();
+  u64 state = 0x10e2;
+  for (const usize L : {usize{8}, usize{32}, usize{256}}) {
+    for (int trial = 0; trial < 6; ++trial) {
+      // Residuals at +-2^31, full-range noise and small values: the i64
+      // sums leave i32 and truncate; the vector path wraps to the same.
+      std::vector<i32> residuals(L);
+      for (usize i = 0; i < L; ++i) {
+        const u64 r = lcgNext(state) % 4;
+        residuals[i] = r == 0   ? (trial % 2 == 0 ? kMin : kMax)
+                       : r == 1 ? static_cast<i32>(static_cast<u32>(
+                                      lcgNext(state) << 1 ^ lcgNext(state)))
+                                : static_cast<i32>(lcgNext(state) % 7) - 3;
+      }
+      std::vector<i32> want(L, 1);
+      simd::setMode(simd::Mode::Scalar);
+      core::lorenzo2dReconstruct(residuals, want);
+      simd::setMode(simd::Mode::Native);
+      std::vector<i32> got(L, 2);
+      core::lorenzo2dReconstruct(residuals, got);
+      EXPECT_EQ(got, want) << "L=" << L << " trial=" << trial;
+    }
+  }
+  // Forward then inverse gives the quants back, in both modes, on both
+  // sides of the forward pass's 2^29 fast-path bound.
+  for (const usize L : {usize{8}, usize{32}, usize{256}}) {
+    for (const i32 peak : {1000, (1 << 29) - 1, 1 << 29, 1 << 30}) {
+      std::vector<i32> quants(L);
+      for (i32& q : quants) {
+        q = static_cast<i32>(lcgNext(state) % (2 * static_cast<u64>(peak) + 1)) -
+            peak;
+      }
+      for (const simd::Mode mode : kModes) {
+        simd::setMode(mode);
+        std::vector<i32> residuals(L);
+        if (!core::lorenzo2dResiduals(quants, residuals)) continue;
+        std::vector<i32> rebuilt(L);
+        core::lorenzo2dReconstruct(residuals, rebuilt);
+        EXPECT_EQ(rebuilt, quants)
+            << "L=" << L << " peak=" << peak << " " << simd::modeName();
+      }
+    }
+  }
 }
 
 TEST(PipelineStages, PipelineTableMatchesWireIds) {

@@ -84,6 +84,11 @@ TEST(SimdTest, ScalarModeNeverClaimsWork) {
   u32 escapes = 0;
   EXPECT_FALSE(simd::symbolRuns(v, 1023, symbols, &changes, &escapes));
   EXPECT_FALSE(simd::lorenzo2dI32(v, res));
+  EXPECT_FALSE(simd::lorenzo2dReconstructI32(v, res));
+  const std::vector<u8> lengths(1024, 1);
+  u64 bits = 0;
+  EXPECT_FALSE(simd::huffmanBits(std::span<const u16>(symbols), lengths,
+                                 1023, &bits, &escapes));
 }
 
 TEST(SimdTest, QuantizeDiffPrefixMatchesScalarF32) {
@@ -232,7 +237,9 @@ TEST(SimdTest, IntegerKernelsMatchScalar) {
       std::vector<i32> gotDiff(n);
       if (simd::diffI32(v, gotDiff.data())) {
         for (usize i = 0; i < n; ++i) {
-          ASSERT_EQ(gotDiff[i], v[i] - (i == 0 ? 0 : v[i - 1]))
+          // Wrapping difference, computed in u32 (no signed overflow).
+          const u32 prev = i == 0 ? 0u : static_cast<u32>(v[i - 1]);
+          ASSERT_EQ(gotDiff[i], static_cast<i32>(static_cast<u32>(v[i]) - prev))
               << "diffI32 n=" << n << " off=" << off << " i=" << i;
         }
       }
@@ -326,9 +333,15 @@ TEST(SimdTest, BitPlanePackUnpackAllWidths) {
       std::vector<std::byte> want(fl * pb);
       core::packPlanesReference(vals, fl, want.data());
 
-      std::vector<std::byte> got(fl * pb, std::byte{0xAA});
+      // A guard region past the fl planes must stay untouched.
+      std::vector<std::byte> got(fl * pb + 32, std::byte{0xAA});
       core::packPlanes(vals, fl, got.data());  // dispatches to native
-      EXPECT_EQ(got, want) << "packPlanes fl=" << fl << " n=" << n;
+      EXPECT_EQ(std::vector<std::byte>(got.begin(), got.begin() + fl * pb),
+                want)
+          << "packPlanes fl=" << fl << " n=" << n;
+      EXPECT_EQ(std::count(got.begin() + fl * pb, got.end(), std::byte{0xAA}),
+                32)
+          << "packPlanes wrote past plane " << fl << " n=" << n;
 
       std::vector<u32> back(n, 123u);
       core::unpackPlanes(want.data(), fl, back);

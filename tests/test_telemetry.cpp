@@ -220,7 +220,9 @@ TEST(TraceSessionTest, StreamRoundTripEmitsKernelEvents) {
 // events: the REL bound's range pass once per compress (ABS skips it), one
 // output allocation per decode, and — on a v3 Auto+CRC compress — the
 // Huffman table, the selection, the footer digests and the stream CRC,
-// which the decode of that stream verifies again. Each is sized in bytes.
+// which the decode of that stream verifies again. Every strict decode
+// validates the stream layout first, and a v3 decode loads the shared
+// dictionary. Each is sized in bytes.
 TEST(TraceSessionTest, HostStagesAppearAsCompleteEvents) {
   const std::vector<f32> field = datagen::generateF32("cesm_atm", 0, 4096);
   const u64 fieldBytes = field.size() * sizeof(f32);
@@ -230,10 +232,12 @@ TEST(TraceSessionTest, HostStagesAppearAsCompleteEvents) {
 
   TraceSession trace;
   core::Compressed v3;
+  u64 legacyStreamBytes = 0;
   {
     telemetry::ScopedTrace scoped(trace);
     core::CompressorStream codec(core::Config{.relErrorBound = 1e-3});
     const auto c = codec.compress<f32>(std::span<const f32>(field));
+    legacyStreamBytes = c.stream.size();
     codec.decompress<f32>(c.stream);
     codec.decompressBlocks<f32>(c.stream, 1, 2);
     codec.decompressResilient<f32>(c.stream);
@@ -278,6 +282,14 @@ TEST(TraceSessionTest, HostStagesAppearAsCompleteEvents) {
   const f64 crcBytes =
       static_cast<f64>(v3.stream.size() - core::StreamHeader::kBytes);
   EXPECT_EQ(bytes["stream.checksum"], (std::vector<f64>{crcBytes, crcBytes}));
+  // Strict decode, block-range decode (salvage has its own structural
+  // pass), then the v3 decode.
+  EXPECT_EQ(bytes["stream.validate"],
+            (std::vector<f64>{static_cast<f64>(legacyStreamBytes),
+                              static_cast<f64>(legacyStreamBytes),
+                              static_cast<f64>(v3.stream.size())}));
+  EXPECT_EQ(bytes["stream.v3.dictionary"],
+            std::vector<f64>{static_cast<f64>(h.dictBytes)});
 }
 
 // The global registry's per-kernel table aggregates the same launches.

@@ -83,6 +83,18 @@ done
 CUSZP2_SIMD=scalar \
   run_config asan "-L fast" -DCMAKE_BUILD_TYPE=Debug -DCUSZP2_SANITIZE=ON
 
+# The pass above never enters a vector kernel. Run the suites that drive
+# them (bit-plane pack/unpack, scans, Lorenzo-2D, Huffman sizing and
+# decode, the golden fixtures) under the sanitizers with the native path
+# on, halting on the first UBSan report instead of printing and going on.
+echo "==== [asan] SIMD kernel suites, CUSZP2_SIMD=native ===="
+for t in test_simd test_fle test_block_codec test_pipeline \
+         test_format_golden; do
+  (cd "${repo_root}/build-ci-asan" &&
+    CUSZP2_SIMD=native UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+      "./tests/${t}")
+done
+
 # The pipeline label (selector, per-block wire framing, mixed-stream
 # salvage) is cheap and touches fresh v3 decode paths — run it under the
 # sanitizer too, not only in the release pass above.

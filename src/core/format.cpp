@@ -31,11 +31,6 @@ u16 blockDigest(std::byte offsetByte, ConstByteSpan payload) {
   return static_cast<u16>(crc32(payload, seeded) & 0xFFFFu);
 }
 
-u16 blockDigestV3(ConstByteSpan descriptor, ConstByteSpan payload) {
-  const u32 seeded = crc32(descriptor);
-  return static_cast<u16>(crc32(payload, seeded) & 0xFFFFu);
-}
-
 void StreamHeader::serialize(std::byte* out) const {
   put64(out + 0, kMagic);
   u64 meta = 0;

@@ -33,16 +33,11 @@ inline constexpr u32 kFormatVersionV2 = 2;  // adds the per-block CRC footer
 inline constexpr u32 kFormatVersionV3 = 3;
 
 /// 16-bit per-block integrity digest: CRC-32 chained over the block's
-/// offset byte and payload bytes, truncated to its low 16 bits. Including
-/// the offset byte means a corrupted offset byte fails its own block's
-/// digest even when the payload bytes survive.
+/// descriptor byte (the offset byte in v2) and payload bytes, truncated to
+/// its low 16 bits. Including the descriptor means a corrupted offset byte
+/// or v3 pipeline id fails its own block's digest even when the payload
+/// bytes survive; a v3 payload includes any entropy size prefix.
 u16 blockDigest(std::byte offsetByte, ConstByteSpan payload);
-
-/// Version-3 digest: chained over the block's descriptor byte and its
-/// payload (including any entropy size prefix), so pipeline-id or framing
-/// corruption fails the block's own digest exactly like offset-byte
-/// corruption does in version 2.
-u16 blockDigestV3(ConstByteSpan descriptor, ConstByteSpan payload);
 
 struct StreamHeader {
   u32 version = kFormatVersion;

@@ -1,8 +1,10 @@
-// Internal helpers shared by the legacy (v1/v2) stream pipeline in
-// stream.cpp and the format-v3 pipeline in stream_v3.cpp. Not part of the
-// public API — include only from core/ translation units.
+// Internal helpers shared by the v1/v2 writer (stream.cpp), the v3 writer
+// (stream_v3.cpp) and the decoder of every generation (stream_decode.cpp).
+// Not part of the public API — include only from core/ translation units.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <limits>
 #include <span>
 #include <vector>
@@ -15,9 +17,58 @@
 #include "core/stream.hpp"
 #include "gpusim/launcher.hpp"
 #include "metrics/error_stats.hpp"
+#include "scan/chained.hpp"
+#include "scan/lookback.hpp"
 #include "telemetry/trace.hpp"
 
 namespace cuszp2::core::detail {
+
+/// Unified per-tile synchronization over either protocol, so the kernels
+/// are written once (ablations switch the algorithm, Sec. VI-E). The flag
+/// words live in the stream's arena: repeated scans allocate nothing.
+class TileSync {
+ public:
+  TileSync(scan::Algorithm algo, u32 tiles, Arena& arena)
+      : algo_(algo),
+        lookback_(tilesFor(algo, scan::Algorithm::DecoupledLookback, tiles),
+                  arena.allocSpan<std::atomic<u64>>(
+                      tilesFor(algo, scan::Algorithm::DecoupledLookback,
+                               tiles))),
+        chained_(tilesFor(algo, scan::Algorithm::ChainedScan, tiles),
+                 arena.allocSpan<std::atomic<u64>>(
+                     tilesFor(algo, scan::Algorithm::ChainedScan, tiles))) {}
+
+  u64 processTile(u32 tile, u64 aggregate, gpusim::SyncStats& sync,
+                  gpusim::MemCounters& mem) {
+    return algo_ == scan::Algorithm::DecoupledLookback
+               ? lookback_.processTile(tile, aggregate, sync, mem)
+               : chained_.processTile(tile, aggregate, sync, mem);
+  }
+
+ private:
+  static u32 tilesFor(scan::Algorithm algo, scan::Algorithm wanted,
+                      u32 tiles) {
+    return algo == wanted ? tiles : 1;
+  }
+
+  scan::Algorithm algo_;
+  scan::LookbackState lookback_;
+  scan::ChainedScanState chained_;
+};
+
+/// Tiles of `blocksPerTile` blocks covering `numBlocks` (at least one).
+inline u32 tileCount(u64 numBlocks, u32 blocksPerTile) {
+  return static_cast<u32>(
+      std::max<u64>(1, (numBlocks + blocksPerTile - 1) / blocksPerTile));
+}
+
+/// One device-bandwidth pass over `bytes` plus a launch: the model's charge
+/// for the range reduction and for every checksum and footer pass.
+inline f64 bandwidthPassSeconds(const gpusim::TimingModel& timing,
+                                u64 bytes) {
+  return static_cast<f64>(bytes) / (timing.spec().memBandwidthGBps * 1e9) +
+         timing.launchSeconds();
+}
 
 /// Records the traffic of the kernel's input/output streams under the
 /// configured access pattern (vectorized + coalesced vs scalar strided,
@@ -61,25 +112,27 @@ inline void secondOrderDiff(std::span<i32> res) {
   }
 }
 
-/// Inverse of the prediction (prefix sums, once or twice).
+/// Inverse of the prediction (prefix sums, once or twice). The sums wrap
+/// in u32, as the vector prefix sum does: a damaged payload can overflow
+/// i32, and wrapping keeps its decode defined and SIMD-independent.
 inline void residualsToQuants(std::span<const i32> res, std::span<i32> quants,
                               Predictor predictor) {
   if (predictor == Predictor::SecondOrder) {
     if (res.empty()) return;
     quants[0] = res[0];
-    i32 d = 0;
-    i32 q = res[0];
+    u32 d = 0;
+    u32 q = static_cast<u32>(res[0]);
     for (usize i = 1; i < res.size(); ++i) {
-      d += res[i];
+      d += static_cast<u32>(res[i]);
       q += d;
-      quants[i] = q;
+      quants[i] = static_cast<i32>(q);
     }
   } else {
     if (simd::prefixSumI32(res, quants.data())) return;
-    i32 q = 0;
+    u32 q = 0;
     for (usize i = 0; i < res.size(); ++i) {
-      q += res[i];
-      quants[i] = q;
+      q += static_cast<u32>(res[i]);
+      quants[i] = static_cast<i32>(q);
     }
   }
 }
@@ -138,6 +191,15 @@ inline u32 streamChecksum(ConstByteSpan stream) {
   hostStage("stream.checksum", covered.size(), [&] { crc = crc32(covered); });
   return crc == 0 ? 1 : crc;
 }
+
+/// Writes the per-block digest footer of a v2/v3 stream laid out in
+/// `stream` (header, descriptors, dictionary, then `payloadBytes` of
+/// payload): blockDigest over each block's descriptor byte and payload,
+/// two little-endian bytes per block, right after the payload. Host stage
+/// `stream.footer_digest`. Defined with the decoder (stream_decode.cpp),
+/// which walks descriptors the same way.
+void writeFooter(const StreamHeader& header, std::byte* stream,
+                 u64 payloadBytes);
 
 inline KernelProfile makeProfile(const gpusim::LaunchResult& launch,
                                  const gpusim::TimingModel& timing,

@@ -1,5 +1,5 @@
-// Format-v3 pipeline paths of CompressorStream (see core/pipeline.hpp and
-// docs/FORMAT.md for the wire layout).
+// The format-v3 writer of CompressorStream (see core/pipeline.hpp and
+// docs/FORMAT.md for the wire layout; stream_decode.cpp reads it).
 //
 // Compression is a two-kernel pass with a host selection stage between
 // them, replacing the legacy single kernel + decoupled-lookback scan:
@@ -17,12 +17,11 @@
 // needs inter-tile synchronization, and decompression positions blocks
 // from the descriptor array alone. Version-3 streams always carry the
 // per-block CRC footer. The detect-and-retry machinery of the legacy path
-// (Config::faultRetries) does not apply to the v3 kernels.
+// (Config::faultRetries) does not apply to the v3 kernels, on either side.
 #include <algorithm>
-#include <cstring>
-#include <optional>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -36,195 +35,13 @@ namespace cuszp2::core {
 namespace {
 
 using detail::AccessRecorder;
-using detail::dequantizeSpan;
+using detail::bandwidthPassSeconds;
 using detail::hostStage;
 using detail::makeProfile;
-using detail::outputAlloc;
 using detail::rangeReduce;
 using detail::residualsToQuants;
 using detail::streamChecksum;
-
-void put32(std::byte* p, u32 v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-u32 get32(const std::byte* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::to_integer<u32>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-void put16(std::byte* p, u16 v) {
-  p[0] = static_cast<std::byte>(v & 0xFFu);
-  p[1] = static_cast<std::byte>(v >> 8);
-}
-
-/// One device-bandwidth pass over `bytes` plus a launch, the same model
-/// the legacy path charges for checksum/footer passes.
-f64 bandwidthPassSeconds(const gpusim::TimingModel& timing, u64 bytes) {
-  return static_cast<f64>(bytes) / (timing.spec().memBandwidthGBps * 1e9) +
-         timing.launchSeconds();
-}
-
-u16 footerDigestAt(const std::byte* footer, u64 blk) {
-  return static_cast<u16>(std::to_integer<u16>(footer[2 * blk]) |
-                          (std::to_integer<u16>(footer[2 * blk + 1]) << 8));
-}
-
-/// Strict validation of a v3 stream's block layout before any payload
-/// decode: every descriptor must name a known pipeline, the prefix-summed
-/// payload positions must stay inside the payload region and land exactly
-/// on the footer, and the per-block digests covering [digestFirst,
-/// digestFirst + digestCount) must match. Fills `blockStart` (exclusive
-/// prefix positions) when non-empty and returns the total payload size.
-u64 walkV3Layout(const char* api, const StreamHeader& header,
-                 ConstByteSpan stream, u64 digestFirst, u64 digestCount,
-                 std::span<u64> blockStart) {
-  const u64 numBlocks = header.numBlocks();
-  const usize payloadBegin = header.payloadBegin();
-  const usize footerB = header.footerBytes();
-  const usize payloadAvail = stream.size() - payloadBegin - footerB;
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + payloadBegin;
-  const std::byte* footer = stream.data() + (stream.size() - footerB);
-  const PayloadSizeTable psize(header.blockSize);
-
-  u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    if (!blockStart.empty()) blockStart[blk] = cursor;
-    const std::byte* descBytes = descs + blk * kV3DescBytes;
-    const V3BlockDesc desc = V3BlockDesc::unpack(descBytes);
-    if (!desc.knownPipeline()) {
-      throw Error(std::string(api) + ": unknown pipeline id " +
-                  std::to_string(static_cast<u32>(desc.pipeline)) +
-                  " at block " + std::to_string(blk) +
-                  " — the descriptor array is corrupt");
-    }
-    const usize size =
-        desc.payloadBytes(psize, payload + cursor, payloadAvail - cursor);
-    if (cursor + size > payloadAvail) {
-      throw Error(std::string(api) +
-                  ": descriptors imply a payload overrun at block " +
-                  std::to_string(blk) + " (stream byte offset " +
-                  std::to_string(payloadBegin + cursor) + ", needs " +
-                  std::to_string(size) + " bytes) — the stream is corrupt "
-                  "or truncated");
-    }
-    if (blk >= digestFirst && blk < digestFirst + digestCount) {
-      const u16 actual =
-          blockDigestV3(ConstByteSpan(descBytes, kV3DescBytes),
-                        ConstByteSpan(payload + cursor, size));
-      if (footerDigestAt(footer, blk) != actual) {
-        throw Error(std::string(api) +
-                    ": per-block checksum mismatch at block " +
-                    std::to_string(blk) + " (stream byte offset " +
-                    std::to_string(payloadBegin + cursor) +
-                    ") — the stream is corrupted");
-      }
-    }
-    cursor += size;
-  }
-  if (payloadBegin + cursor + footerB != stream.size()) {
-    throw Error(std::string(api) +
-                ": version-3 stream framing mismatch (descriptors imply " +
-                std::to_string(payloadBegin + cursor + footerB) +
-                " bytes, stream has " + std::to_string(stream.size()) +
-                ") — the stream is corrupted or truncated");
-  }
-  return cursor;
-}
-
-/// walkV3Layout as host stage `stream.validate`.
-u64 validateV3Layout(const char* api, const StreamHeader& header,
-                     ConstByteSpan stream, u64 digestFirst, u64 digestCount,
-                     std::span<u64> blockStart) {
-  u64 total = 0;
-  hostStage("stream.validate", stream.size(), [&] {
-    total = walkV3Layout(api, header, stream, digestFirst, digestCount,
-                         blockStart);
-  });
-  return total;
-}
-
-/// Strict parse of the v3 dictionary section: [u32 tableBytes][u32 CRC-32]
-/// [serialized table]. Returns an empty table for a stream that ships no
-/// Huffman blocks (tableBytes == 0).
-HuffTable parseDictV3(const char* api, const StreamHeader& header,
-                      ConstByteSpan stream) {
-  if (header.numBlocks() == 0) return {};
-  const std::byte* dict = stream.data() + header.dictBegin();
-  const u32 tableBytes = get32(dict);
-  require(8 + static_cast<usize>(tableBytes) == header.dictBytes,
-          std::string(api) + ": dictionary section size mismatch — the "
-          "stream is corrupted");
-  const u32 storedCrc = get32(dict + 4);
-  const ConstByteSpan tableSpan(dict + 8, tableBytes);
-  require(crc32(tableSpan) == storedCrc,
-          std::string(api) + ": dictionary checksum mismatch — the shared "
-          "Huffman table is corrupted");
-  if (tableBytes == 0) return {};
-  return HuffTable::parse(tableSpan);
-}
-
-/// parseDictV3 plus the decoder build, as host stage
-/// `stream.v3.dictionary`. Empty for a stream without Huffman blocks.
-std::optional<HuffDecoder> loadDecoderV3(const char* api,
-                                         const StreamHeader& header,
-                                         ConstByteSpan stream) {
-  std::optional<HuffDecoder> decoder;
-  hostStage("stream.v3.dictionary", header.dictBytes, [&] {
-    const HuffTable table = parseDictV3(api, header, stream);
-    if (!table.empty()) decoder.emplace(table);
-  });
-  return decoder;
-}
-
-/// Decodes one v3 block's payload into quantization integers (full padded
-/// block length). Throws cuszp2::Error on malformed payloads.
-void decodeBlockV3(const V3BlockDesc& desc, ConstByteSpan payload,
-                   const BlockCodec& codec, const HuffDecoder* decoder,
-                   std::span<i32> quants) {
-  const usize L = quants.size();
-  i32 resArr[256];
-  std::span<i32> res(resArr, L);
-  switch (desc.pipeline) {
-    case PipelineId::Fle:
-    case PipelineId::LorenzoFle: {
-      const auto h = BlockHeader::unpack(desc.offsetByte);
-      if (!h.outlierMode && h.fixedLength == 0) {
-        // Zero block under either predictor: all residuals are zero, so
-        // the reconstruction is zero regardless of the prediction stage.
-        std::fill(quants.begin(), quants.end(), 0);
-        return;
-      }
-      codec.decodeResiduals(h, payload.data(), res);
-      if (desc.pipeline == PipelineId::LorenzoFle) {
-        lorenzo2dReconstruct(res, quants);
-      } else {
-        residualsToQuants(res, quants, Predictor::FirstOrder);
-      }
-      return;
-    }
-    case PipelineId::Huffman: {
-      require(decoder != nullptr,
-              "v3 decode: stream uses the Huffman pipeline but carries no "
-              "dictionary");
-      decodeHuffmanBlock(payload.subspan(kV3EntropyPrefixBytes), *decoder,
-                         res);
-      residualsToQuants(res, quants, Predictor::FirstOrder);
-      return;
-    }
-    default: {  // Rle
-      decodeRleBlock(payload.subspan(kV3EntropyPrefixBytes), res);
-      residualsToQuants(res, quants, Predictor::FirstOrder);
-      return;
-    }
-  }
-}
+using detail::tileCount;
 
 }  // namespace
 
@@ -268,8 +85,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   }
 
   const u64 numBlocks = header.numBlocks();
-  const u32 tiles =
-      static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
+  const u32 tiles = tileCount(numBlocks, bpt);
   const BlockCodec codec(L);
   const AccessRecorder access{config_.vectorizedAccess,
                               timing_.spec().transactionBytes};
@@ -412,10 +228,10 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   std::byte* dict = staging + header.dictBegin();
   std::byte* payload = staging + payloadBegin;
 
-  put32(dict, static_cast<u32>(header.dictBytes - 8));
+  storeLE(dict, header.dictBytes - 8, 4);
   const ConstByteSpan tableSpan(dict + 8, header.dictBytes - 8);
   if (sel.usesHuffman) table.serialize(dict + 8);
-  put32(dict + 4, crc32(tableSpan));
+  storeLE(dict + 4, crc32(tableSpan), 4);
 
   // Phase 2 — encode every block with its selected pipeline at its exact
   // precomputed offset and write the 1-byte descriptors. No inter-tile
@@ -458,13 +274,13 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
         case PipelineId::Huffman: {
           const usize body = encodeHuffmanBlock(
               r, table, outp + kV3EntropyPrefixBytes);
-          put16(outp, static_cast<u16>(body));
+          storeLE(outp, static_cast<u32>(body), 2);
           written = kV3EntropyPrefixBytes + body;
           break;
         }
         default: {  // Rle
           const usize body = encodeRleBlock(r, outp + kV3EntropyPrefixBytes);
-          put16(outp, static_cast<u16>(body));
+          storeLE(outp, static_cast<u32>(body), 2);
           written = kV3EntropyPrefixBytes + body;
           break;
         }
@@ -486,18 +302,7 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
 
   // Per-block CRC footer (always present in v3) — one bandwidth pass over
   // the compressed bytes, same model as the legacy v2 footer.
-  std::byte* footer = payload + cursor;
-  hostStage("stream.footer_digest", numBlocks * kV3DescBytes + cursor, [&] {
-    for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize size =
-          candidates[blk].bytes[static_cast<u8>(sel.choice[blk])];
-      const u16 digest = blockDigestV3(
-          ConstByteSpan(descs + blk * kV3DescBytes, kV3DescBytes),
-          ConstByteSpan(payload + blockStart[blk], size));
-      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
-    }
-  });
+  detail::writeFooter(header, staging, cursor);
   extraSeconds += bandwidthPassSeconds(timing_, finalBytes);
 
   if (config_.checksum) {
@@ -518,463 +323,10 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   return out;
 }
 
-template <FloatingPoint T>
-Decompressed<T> CompressorStream::decompressV3(ConstByteSpan stream,
-                                               const StreamHeader& header) {
-  // Caller (decompress) has already reset the arena, applied any injected
-  // budget, parsed the header and checked the precision tag.
-  f64 checksumSeconds = 0.0;
-  if (header.checksum != 0) {
-    require(streamChecksum(stream) == header.checksum,
-            "decompress: checksum mismatch — the stream is corrupted");
-    checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
-  }
-
-  const u32 L = header.blockSize;
-  const u32 bpt = config_.blocksPerTile;
-  const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
-
-  Decompressed<T> out;
-  outputAlloc(out.data, n, T{});
-  if (n == 0) {
-    out.profile.endToEndSeconds = timing_.launchSeconds();
-    noteDecompressed(stream.size(), 0, 0.0);
-    return out;
-  }
-
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  validateV3Layout("decompress", header, stream, 0, numBlocks, blockStart);
-  // Footer verification is one extra bandwidth pass over the compressed
-  // bytes (v3 always carries the footer).
-  checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
-
-  const std::optional<HuffDecoder> decoder =
-      loadDecoderV3("decompress", header, stream);
-
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + header.payloadBegin();
-  const usize payloadAvail =
-      stream.size() - header.payloadBegin() - header.footerBytes();
-  const Quantizer quantizer(header.absErrorBound);
-  const BlockCodec codec(L);
-  const PayloadSizeTable psize(L);
-  const AccessRecorder access{config_.vectorizedAccess,
-                              timing_.spec().transactionBytes};
-  const HuffDecoder* decoderPtr = decoder ? &*decoder : nullptr;
-
-  const u32 tiles =
-      static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
-  const std::function<void(gpusim::BlockCtx&)> body =
-      [&](gpusim::BlockCtx& ctx) {
-    const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
-    const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
-    i32 quantsArr[256];
-    u64 decodedElems = 0;
-    u64 payloadBytesRead = 0;
-    u64 zeroBytes = 0;
-    for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
-      const V3BlockDesc desc =
-          V3BlockDesc::unpack(descs + blk * kV3DescBytes);
-      const usize size = desc.payloadBytes(
-          psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
-      const u64 eFirst = blk * L;
-      const u64 eLast = std::min<u64>(n, eFirst + L);
-      if (size == 0 && desc.pipeline != PipelineId::Huffman &&
-          desc.pipeline != PipelineId::Rle) {
-        // Zero block: flush with device memset (as in the legacy path).
-        for (u64 e = eFirst; e < eLast; ++e) out.data[e] = T{};
-        zeroBytes += (eLast - eFirst) * sizeof(T);
-        continue;
-      }
-      const std::span<i32> q(quantsArr, L);
-      decodeBlockV3(desc, ConstByteSpan(payload + blockStart[blk], size),
-                    codec, decoderPtr, q);
-      dequantizeSpan(quantizer,
-                     std::span<const i32>(quantsArr, eLast - eFirst),
-                     out.data.data() + eFirst);
-      decodedElems += eLast - eFirst;
-      payloadBytesRead += size;
-    }
-    access.read(ctx.mem, (lastBlock - firstBlock) * kV3DescBytes, 4);
-    access.read(ctx.mem, payloadBytesRead, 4);
-    access.write(ctx.mem, decodedElems * sizeof(T), sizeof(T));
-    ctx.mem.noteMemset(zeroBytes);
-    ctx.mem.noteOps(decodedElems * 8);
-    ctx.mem.noteL1(decodedElems * 8);
-  };
-  const auto launch = launcher_.launch(tiles, body, 0, {}, "v3_decompress");
-
-  out.profile =
-      makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
-  noteDecompressed(stream.size(), n * sizeof(T), out.profile.endToEndGBps);
-  return out;
-}
-
-template <FloatingPoint T>
-BlockRange<T> CompressorStream::decompressBlocksV3(ConstByteSpan stream,
-                                                   const StreamHeader& header,
-                                                   u64 firstBlock,
-                                                   u64 blockCount) {
-  // Caller validated precision and the block range.
-  const u64 numBlocks = header.numBlocks();
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  validateV3Layout("decompressBlocks", header, stream, firstBlock,
-                   blockCount, blockStart);
-  const std::optional<HuffDecoder> decoder =
-      loadDecoderV3("decompressBlocks", header, stream);
-
-  const u32 L = header.blockSize;
-  const u32 bpt = config_.blocksPerTile;
-  const u64 n = header.numElements;
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + header.payloadBegin();
-  const usize payloadAvail =
-      stream.size() - header.payloadBegin() - header.footerBytes();
-  const Quantizer quantizer(header.absErrorBound);
-  const BlockCodec codec(L);
-  const PayloadSizeTable psize(L);
-  const AccessRecorder access{config_.vectorizedAccess,
-                              timing_.spec().transactionBytes};
-  const HuffDecoder* decoderPtr = decoder ? &*decoder : nullptr;
-
-  BlockRange<T> out;
-  out.firstElement = firstBlock * L;
-  const u64 lastElement = std::min<u64>(n, (firstBlock + blockCount) * L);
-  outputAlloc(out.values, lastElement - out.firstElement, T{});
-
-  // Positions come from the host descriptor walk, so only tiles covering
-  // the requested range launch work; the descriptor array read replaces
-  // the legacy offset-byte scan.
-  const u32 tiles =
-      static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
-  const std::function<void(gpusim::BlockCtx&)> body =
-      [&](gpusim::BlockCtx& ctx) {
-    const u64 tFirst = static_cast<u64>(ctx.blockIdx) * bpt;
-    const u64 tLast = std::min(numBlocks, tFirst + bpt);
-    access.read(ctx.mem, (tLast - tFirst) * kV3DescBytes, 4);
-    ctx.mem.noteOps((tLast - tFirst) * 2);
-    if (tLast <= firstBlock || tFirst >= firstBlock + blockCount) return;
-
-    i32 quantsArr[256];
-    for (u64 blk = std::max(tFirst, firstBlock);
-         blk < std::min(tLast, firstBlock + blockCount); ++blk) {
-      const V3BlockDesc desc =
-          V3BlockDesc::unpack(descs + blk * kV3DescBytes);
-      const usize size = desc.payloadBytes(
-          psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
-      const u64 eFirst = blk * L;
-      const u64 eLast = std::min<u64>(n, eFirst + L);
-      const std::span<i32> q(quantsArr, L);
-      decodeBlockV3(desc, ConstByteSpan(payload + blockStart[blk], size),
-                    codec, decoderPtr, q);
-      dequantizeSpan(quantizer,
-                     std::span<const i32>(quantsArr, eLast - eFirst),
-                     out.values.data() + (eFirst - out.firstElement));
-      access.read(ctx.mem, size, 4);
-      access.write(ctx.mem, (eLast - eFirst) * sizeof(T), sizeof(T));
-      ctx.mem.noteOps((eLast - eFirst) * 8);
-    }
-  };
-  const auto launch =
-      launcher_.launch(tiles, body, 0, {}, "random_access_decode");
-
-  out.profile = makeProfile(launch, timing_, header.originalBytes());
-  noteDecompressed(stream.size(), out.values.size() * sizeof(T),
-                   out.profile.endToEndGBps);
-  return out;
-}
-
-template <FloatingPoint T>
-Compressed CompressorStream::replaceBlocksV3(ConstByteSpan stream,
-                                             const StreamHeader& header,
-                                             u64 firstBlock,
-                                             std::span<const T> values) {
-  const u32 L = header.blockSize;
-  const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
-  const u64 blockCount = (values.size() + L - 1) / L;
-  require(firstBlock < numBlocks && firstBlock + blockCount <= numBlocks,
-          "replaceBlocks: block range out of bounds");
-  const u64 eFirst = firstBlock * L;
-  const u64 eLast = std::min<u64>(n, (firstBlock + blockCount) * L);
-  require(values.size() == eLast - eFirst,
-          "replaceBlocks: values must cover whole blocks (size must be "
-          "a multiple of the block size or end at the stream tail)");
-
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  const u64 totalPayload = validateV3Layout("replaceBlocks", header, stream,
-                                            0, numBlocks, blockStart);
-  parseDictV3("replaceBlocks", header, stream);  // integrity only
-
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + header.payloadBegin();
-  const PayloadSizeTable psize(L);
-  const u64 rangeStart = blockStart[firstBlock];
-  const u64 lastReplaced = firstBlock + blockCount - 1;
-  const u64 rangeEnd =
-      blockStart[lastReplaced] +
-      V3BlockDesc::unpack(descs + lastReplaced * kV3DescBytes)
-          .payloadBytes(psize, payload + blockStart[lastReplaced],
-                        totalPayload - blockStart[lastReplaced]);
-
-  // Re-encode the replacement blocks with the FLE pipeline under the
-  // stream's bound and mode. Spliced blocks do not consult the shared
-  // dictionary, so the dictionary section passes through unchanged and
-  // stays valid for every untouched Huffman block.
-  const Quantizer quantizer(header.absErrorBound, config_.roundingMode);
-  const BlockCodec codec(L);
-  const std::span<std::byte> newDescs =
-      arena_.allocSpan<std::byte>(blockCount * kV3DescBytes);
-  const std::span<std::byte> newPayload =
-      arena_.allocSpan<std::byte>(blockCount * maxPayloadSize(L));
-  const std::span<u64> newSizes = arena_.allocSpan<u64>(blockCount);
-  const std::span<i32> blockScratch = arena_.allocSpan<i32>(L);
-  const std::function<void(gpusim::BlockCtx&)> reencodeBody =
-      [&](gpusim::BlockCtx& ctx) {
-    std::span<i32> q = blockScratch;
-    u64 cursor = 0;
-    for (u64 b = 0; b < blockCount; ++b) {
-      const u64 vFirst = b * L;
-      const u64 vLast = std::min<u64>(values.size(), vFirst + L);
-      quantizeDiffBlock(quantizer, values.subspan(vFirst, vLast - vFirst),
-                        q);
-      const auto plan = codec.planResiduals(q, header.mode);
-      V3BlockDesc desc;
-      desc.pipeline = PipelineId::Fle;
-      desc.offsetByte = plan.header.pack();
-      desc.pack(newDescs.data() + b * kV3DescBytes);
-      codec.encodeResiduals(q, plan, newPayload.data() + cursor);
-      newSizes[b] = plan.payloadBytes;
-      cursor += plan.payloadBytes;
-    }
-    ctx.mem.noteVectorRead(values.size() * sizeof(T), 32);
-    ctx.mem.noteScalarRead(numBlocks * kV3DescBytes, 4, 32);
-    ctx.mem.noteVectorWrite(cursor + blockCount * kV3DescBytes, 32);
-    ctx.mem.noteOps(values.size() * 16);
-  };
-  const auto launch =
-      launcher_.launch(1, reencodeBody, 0, {}, "replace_blocks");
-  u64 newRangeBytes = 0;
-  for (const u64 s : newSizes) newRangeBytes += s;
-
-  // Splice: header | descriptors (patched) | dict | payload prefix | new
-  // | suffix | footer (rebuilt) — the dictionary section is byte-copied.
-  Compressed out;
-  out.originalBytes = header.originalBytes();
-  out.stream.reserve(header.payloadBegin() + totalPayload -
-                     (rangeEnd - rangeStart) + newRangeBytes +
-                     header.footerBytes());
-  out.stream.insert(out.stream.end(), stream.begin(),
-                    stream.begin() +
-                        static_cast<usize>(StreamHeader::offsetsBegin()));
-  out.stream.insert(out.stream.end(), descs,
-                    descs + firstBlock * kV3DescBytes);
-  out.stream.insert(out.stream.end(), newDescs.begin(), newDescs.end());
-  out.stream.insert(out.stream.end(),
-                    descs + (firstBlock + blockCount) * kV3DescBytes,
-                    descs + numBlocks * kV3DescBytes);
-  out.stream.insert(out.stream.end(),
-                    stream.data() + header.dictBegin(),
-                    stream.data() + header.dictBegin() + header.dictBytes);
-  out.stream.insert(out.stream.end(), payload, payload + rangeStart);
-  out.stream.insert(out.stream.end(), newPayload.begin(),
-                    newPayload.begin() + newRangeBytes);
-  out.stream.insert(out.stream.end(), payload + rangeEnd,
-                    payload + totalPayload);
-
-  // Rebuild the per-block CRC footer over the spliced stream (a pure
-  // function of its descriptors and payloads).
-  {
-    std::vector<std::byte> footer(header.footerBytes());
-    const std::byte* outDescs =
-        out.stream.data() + StreamHeader::offsetsBegin();
-    const std::byte* outPayload = out.stream.data() + header.payloadBegin();
-    const u64 outPayloadBytes = out.stream.size() - header.payloadBegin();
-    u64 cursor = 0;
-    for (u64 blk = 0; blk < numBlocks; ++blk) {
-      const usize size =
-          V3BlockDesc::unpack(outDescs + blk * kV3DescBytes)
-              .payloadBytes(psize, outPayload + cursor,
-                            outPayloadBytes - cursor);
-      const u16 digest = blockDigestV3(
-          ConstByteSpan(outDescs + blk * kV3DescBytes, kV3DescBytes),
-          ConstByteSpan(outPayload + cursor, size));
-      footer[2 * blk] = static_cast<std::byte>(digest & 0xFFu);
-      footer[2 * blk + 1] = static_cast<std::byte>(digest >> 8);
-      cursor += size;
-    }
-    out.stream.insert(out.stream.end(), footer.begin(), footer.end());
-  }
-
-  if (header.checksum != 0) {
-    StreamHeader patched = header;
-    patched.checksum = streamChecksum(out.stream);
-    patched.serialize(out.stream.data());
-  }
-
-  out.ratio = static_cast<f64>(out.originalBytes) /
-              static_cast<f64>(out.stream.size());
-  out.profile = makeProfile(launch, timing_, (eLast - eFirst) * sizeof(T));
-  instruments_.replaceBlocksCalls->add(1);
-  instruments_.arenaHighWater->set(
-      static_cast<f64>(arena_.stats().highWater));
-  return out;
-}
-
-template <FloatingPoint T>
-void CompressorStream::salvageV3(ConstByteSpan stream,
-                                 const StreamHeader& header, T fillValue,
-                                 Salvaged<T>& out) {
-  // Caller (decompressResilient) has set headerOk and blockChecksums and
-  // cleared the arena / failure budget; this fills the rest of the report,
-  // the data, and the profile. Never throws on corrupt input.
-  DecodeReport& rep = out.report;
-
-  f64 checksumSeconds = 0.0;
-  if (header.checksum != 0) {
-    rep.streamChecksumOk = (streamChecksum(stream) == header.checksum);
-    checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
-  }
-
-  const u32 L = header.blockSize;
-  const u32 bpt = config_.blocksPerTile;
-  const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
-  rep.totalBlocks = numBlocks;
-  rep.verdicts.assign(numBlocks, BlockVerdict::Good);
-  outputAlloc(out.data, n, fillValue);
-  if (n == 0) return;
-
-  // Dictionary verdict: a damaged section header, CRC, or table quarantines
-  // every Huffman block but leaves the table-free pipelines decodable.
-  std::optional<HuffDecoder> decoder;
-  try {
-    decoder = loadDecoderV3("decompressResilient", header, stream);
-  } catch (const Error&) {
-    rep.dictionaryOk = false;
-  }
-
-  const usize payloadBegin = header.payloadBegin();
-  const usize footerB = header.footerBytes();
-  const usize payloadAvail = stream.size() - payloadBegin - footerB;
-  const std::byte* descs = stream.data() + StreamHeader::offsetsBegin();
-  const std::byte* payload = stream.data() + payloadBegin;
-  const std::byte* footer = stream.data() + (stream.size() - footerB);
-  const PayloadSizeTable psize(L);
-
-  // Host structural pass: position every block from the descriptor walk
-  // (entropy blocks advance by their u16 payload size prefix; unknown
-  // pipeline ids advance by zero and are quarantined), bounds-check, and
-  // verify each in-range block's digest. A Huffman block is decodable only
-  // with a good dictionary.
-  const std::span<u64> blockStart = arena_.allocSpan<u64>(numBlocks);
-  u64 cursor = 0;
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    blockStart[blk] = cursor;
-    const std::byte* descBytes = descs + blk * kV3DescBytes;
-    const V3BlockDesc desc = V3BlockDesc::unpack(descBytes);
-    const usize remaining =
-        cursor <= payloadAvail ? payloadAvail - cursor : 0;
-    const usize size = desc.payloadBytes(
-        psize, remaining > 0 ? payload + cursor : payload, remaining);
-    if (cursor > payloadAvail || size > payloadAvail - cursor) {
-      rep.verdicts[blk] = BlockVerdict::Truncated;
-    } else if (footerDigestAt(footer, blk) !=
-               blockDigestV3(ConstByteSpan(descBytes, kV3DescBytes),
-                             ConstByteSpan(payload + cursor, size))) {
-      rep.verdicts[blk] = BlockVerdict::ChecksumMismatch;
-    } else if (!desc.knownPipeline() ||
-               (desc.pipeline == PipelineId::Huffman && !decoder)) {
-      rep.verdicts[blk] = BlockVerdict::DecodeError;
-    }
-    cursor += size;
-  }
-  if (payloadBegin + cursor + footerB != stream.size()) {
-    rep.framingDamaged = true;
-  }
-
-  const u32 tiles =
-      static_cast<u32>(std::max<u64>(1, (numBlocks + bpt - 1) / bpt));
-  const Quantizer quantizer(header.absErrorBound);
-  const BlockCodec codec(L);
-  const AccessRecorder access{config_.vectorizedAccess,
-                              timing_.spec().transactionBytes};
-  const HuffDecoder* decoderPtr = decoder ? &*decoder : nullptr;
-
-  const std::function<void(gpusim::BlockCtx&)> salvageBody =
-      [&](gpusim::BlockCtx& ctx) {
-    const u64 firstBlock = static_cast<u64>(ctx.blockIdx) * bpt;
-    const u64 lastBlock = std::min(numBlocks, firstBlock + bpt);
-    i32 quantsArr[256];
-    u64 decodedElems = 0;
-    u64 payloadBytesRead = 0;
-    for (u64 blk = firstBlock; blk < lastBlock; ++blk) {
-      if (rep.verdicts[blk] != BlockVerdict::Good) continue;
-      const V3BlockDesc desc =
-          V3BlockDesc::unpack(descs + blk * kV3DescBytes);
-      const usize size = desc.payloadBytes(
-          psize, payload + blockStart[blk], payloadAvail - blockStart[blk]);
-      const u64 eFirst = blk * L;
-      const u64 eLast = std::min<u64>(n, eFirst + L);
-      try {
-        const std::span<i32> q(quantsArr, L);
-        decodeBlockV3(desc, ConstByteSpan(payload + blockStart[blk], size),
-                      codec, decoderPtr, q);
-        dequantizeSpan(quantizer,
-                       std::span<const i32>(quantsArr, eLast - eFirst),
-                       out.data.data() + eFirst);
-        decodedElems += eLast - eFirst;
-        payloadBytesRead += size;
-      } catch (const Error&) {
-        rep.verdicts[blk] = BlockVerdict::DecodeError;
-        for (u64 e = eFirst; e < eLast; ++e) out.data[e] = fillValue;
-      }
-    }
-    access.read(ctx.mem, (lastBlock - firstBlock) * kV3DescBytes, 4);
-    access.read(ctx.mem, payloadBytesRead, 4);
-    access.write(ctx.mem, decodedElems * sizeof(T), sizeof(T));
-    ctx.mem.noteOps(decodedElems * 8);
-    ctx.mem.noteL1(decodedElems * 8);
-  };
-  const auto launch =
-      launcher_.launch(tiles, salvageBody, 0, {}, "salvage_decode");
-
-  for (u64 blk = 0; blk < numBlocks; ++blk) {
-    if (rep.verdicts[blk] == BlockVerdict::Good) continue;
-    ++rep.badBlocks;
-    if (rep.firstCorruptOffset == DecodeReport::kNoCorruption) {
-      rep.firstCorruptOffset = payloadBegin + blockStart[blk];
-    }
-  }
-  rep.goodBlocks = numBlocks - rep.badBlocks;
-
-  out.profile =
-      makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
-}
-
 // Explicit instantiations (access checking does not apply to explicit
 // instantiation of private members; the public entry points in stream.cpp
 // link against these).
 template Compressed CompressorStream::compressV3<f32>(std::span<const f32>);
 template Compressed CompressorStream::compressV3<f64>(std::span<const f64>);
-template Decompressed<f32> CompressorStream::decompressV3<f32>(
-    ConstByteSpan, const StreamHeader&);
-template Decompressed<f64> CompressorStream::decompressV3<f64>(
-    ConstByteSpan, const StreamHeader&);
-template BlockRange<f32> CompressorStream::decompressBlocksV3<f32>(
-    ConstByteSpan, const StreamHeader&, u64, u64);
-template BlockRange<f64> CompressorStream::decompressBlocksV3<f64>(
-    ConstByteSpan, const StreamHeader&, u64, u64);
-template Compressed CompressorStream::replaceBlocksV3<f32>(
-    ConstByteSpan, const StreamHeader&, u64, std::span<const f32>);
-template Compressed CompressorStream::replaceBlocksV3<f64>(
-    ConstByteSpan, const StreamHeader&, u64, std::span<const f64>);
-template void CompressorStream::salvageV3<f32>(ConstByteSpan,
-                                               const StreamHeader&, f32,
-                                               Salvaged<f32>&);
-template void CompressorStream::salvageV3<f64>(ConstByteSpan,
-                                               const StreamHeader&, f64,
-                                               Salvaged<f64>&);
 
 }  // namespace cuszp2::core

@@ -185,6 +185,39 @@ TEST(ReplaceBlocks, Validation) {
                Error);
 }
 
+// A CRC-stamped stream with one damaged payload bit in a block the splice
+// does not touch is refused, as strict decode refuses it, instead of
+// being re-stamped into a stream that passes every later check.
+void expectDamagedStampRefused(PipelineMode pipeline) {
+  Config cfg;
+  cfg.absErrorBound = 1e-3;
+  cfg.checksum = true;
+  cfg.pipeline = pipeline;
+  CompressorStream codec(cfg);
+  const auto data = datagen::generateF32("scale", 1, 2048);
+  std::vector<std::byte> stream = codec.compress<f32>(data).stream;
+  const StreamHeader header = StreamHeader::parse(stream);
+  // The last payload byte belongs to the final block, far from block 0.
+  stream[stream.size() - header.footerBytes() - 1] ^= std::byte{0x10};
+
+  try {
+    codec.replaceBlocks<f32>(stream, 0, replacementValues(32, 10));
+    FAIL() << "a stream with a damaged CRC stamp must be refused";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "replaceBlocks: checksum mismatch — the stream is "
+                 "corrupted");
+  }
+}
+
+TEST(ReplaceBlocks, RefusesDamagedV1Stream) {
+  expectDamagedStampRefused(PipelineMode::Legacy);
+}
+
+TEST(ReplaceBlocks, RefusesDamagedV3Stream) {
+  expectDamagedStampRefused(PipelineMode::Auto);
+}
+
 TEST(ReplaceBlocks, ShrinksWhenNewBlocksCompressBetter) {
   const Fixture fx;
   const Compressor comp(fx.cfg);

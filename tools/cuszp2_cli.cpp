@@ -400,7 +400,7 @@ int doInfo(const std::string& in) {
               static_cast<unsigned long long>(header.numBlocks()));
   std::printf("  abs error bound: %g\n", header.absErrorBound);
   if (header.version >= core::kFormatVersionV3) {
-    // Per-pipeline block tally from the 4-byte descriptor array.
+    // Per-pipeline block tally from the 1-byte descriptor array.
     u64 counts[core::kPipelineCount] = {};
     for (u64 blk = 0; blk < header.numBlocks(); ++blk) {
       const auto desc = core::V3BlockDesc::unpack(

@@ -1,26 +1,38 @@
 // fuzz_decode — seeded structured fuzzer for the decode surface.
 //
-// Builds a pool of valid streams (both format versions, both precisions,
-// with and without checksums, tails, zero runs), then applies structured
-// mutations — truncations at region boundaries, bit/byte flips aimed at
-// the header / offset array / payload / footer, garbage extension — and
-// drives both decode paths on every mutant:
+// Builds a pool of valid streams (every format version, both precisions,
+// both v1/v2 predictors, with and without checksums, tails, zero runs),
+// then applies structured mutations — truncations at region boundaries,
+// bit/byte flips aimed at the header / offset array / payload / footer,
+// garbage extension — and drives every decode entry point on each mutant:
 //
 //   strict  decompress()           must throw core::Error or succeed —
 //                                  never crash, hang, or read out of
 //                                  bounds (run under ASan/UBSan in CI);
+//   range   decompressBlocks()     the same, on a seeded block range;
 //   salvage decompressResilient()  must never throw and must return a
-//                                  self-consistent DecodeReport.
+//                                  self-consistent DecodeReport;
+//   replace replaceBlocks()        must throw core::Error or succeed.
+//
+// Every outcome — an error text or a hash of the decoded bytes, the whole
+// salvage report, the spliced stream — feeds a 64-bit behaviour
+// fingerprint, printed as `fingerprint=<hex>`. A decoder change that keeps
+// every outcome keeps the fingerprint; ctest pins its value. Replace
+// outcomes count only for mutants whose stream CRC (if any) still
+// matches: a damaged CRC-stamped stream is refused before the splice.
 //
 //   usage: fuzz_decode [iterations=500] [seed=1]
 //
 // Exit 0 when every mutant held the invariants; 1 otherwise, printing the
 // (seed, iteration) needed to replay the failure.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/compressor.hpp"
@@ -67,9 +79,21 @@ std::vector<BaseStream> makeBasePool(core::CompressorStream& codec) {
         pool.push_back({codec.compress<f64>(f64Field).stream,
                         Precision::F64});
       }
+      // The second-order predictor, which every v1/v2 decode entry point
+      // must honour.
+      core::Config cfg;
+      cfg.absErrorBound = 1e-2;
+      cfg.checksum = v2;
+      cfg.blockChecksums = v2;
+      cfg.predictor = Predictor::SecondOrder;
+      codec.reconfigure(cfg);
+      const auto f32Field = makeField<f32>(rng, n);
+      pool.push_back({codec.compress<f32>(f32Field).stream, Precision::F32});
+      const auto f64Field = makeField<f64>(rng, n);
+      pool.push_back({codec.compress<f64>(f64Field).stream, Precision::F64});
     }
     // Format-v3 bases: mixed per-block selection (Auto) and a pinned
-    // Huffman stream, so mutants cover 4-byte descriptors, the shared
+    // Huffman stream, so mutants cover pipeline descriptors, the shared
     // dictionary section and every pipeline's payload structure.
     for (const core::PipelineMode mode :
          {core::PipelineMode::Auto, core::PipelineMode::Huffman}) {
@@ -195,21 +219,49 @@ std::string mutate(Rng& rng, std::vector<std::byte>& s) {
   }
 }
 
-/// Runs both decode paths over one mutant; returns an empty string when
-/// all invariants held, else a description of the violation.
-template <FloatingPoint T>
-std::string driveTyped(core::CompressorStream& codec, ConstByteSpan s) {
-  try {
-    (void)codec.decompress<T>(s);
-  } catch (const Error&) {
-    // Rejection is a correct strict-mode outcome.
+/// FNV-1a over everything fed to it.
+class Fingerprint {
+ public:
+  void bytes(const void* data, usize n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (usize i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001B3ull;
+    }
   }
+  void num(u64 v) { bytes(&v, sizeof(v)); }
+  void text(const std::string& s) {
+    num(s.size());
+    bytes(s.data(), s.size());
+  }
+  template <typename T>
+  void values(const std::vector<T>& v) {
+    num(v.size());
+    bytes(v.data(), v.size() * sizeof(T));
+  }
+  u64 value() const { return h_; }
 
-  const auto salvaged = codec.decompressResilient<T>(s, T{-1});
-  const auto& rep = salvaged.report;
+ private:
+  u64 h_ = 0xCBF29CE484222325ull;
+};
+
+struct Tally {
+  u64 strictRejected = 0;
+  u64 salvageFlagged = 0;
+};
+
+/// True when the stream carries no CRC stamp or its stamp still matches.
+bool stampHolds(ConstByteSpan s, const std::optional<core::StreamHeader>& h) {
+  if (!h || h->checksum == 0) return true;
+  u32 crc = crc32(s.subspan(core::StreamHeader::kBytes));
+  if (crc == 0) crc = 1;  // the stamp reserves 0 for "absent"
+  return crc == h->checksum;
+}
+
+/// Checks a salvage report's self-consistency; empty when it holds.
+std::string reportViolation(const core::DecodeReport& rep, bool dataEmpty) {
   if (!rep.headerOk) {
     if (rep.headerError.empty()) return "headerOk=false without an error";
-    if (!salvaged.data.empty()) return "data not empty on header failure";
+    if (!dataEmpty) return "data not empty on header failure";
     return "";
   }
   if (rep.goodBlocks + rep.badBlocks != rep.totalBlocks) {
@@ -232,11 +284,88 @@ std::string driveTyped(core::CompressorStream& codec, ConstByteSpan s) {
   return "";
 }
 
+/// Runs every decode entry point over one mutant, folding each outcome
+/// into `fp` and `tally`; returns an empty string when all invariants
+/// held, else a description of the violation.
+template <FloatingPoint T>
+std::string driveTyped(core::CompressorStream& codec, ConstByteSpan s,
+                       Rng& rng, Fingerprint& fp, Tally& tally) {
+  try {
+    const auto d = codec.decompress<T>(s);
+    fp.num(1);
+    fp.values(d.data);
+  } catch (const Error& e) {
+    ++tally.strictRejected;
+    fp.num(2);
+    fp.text(e.what());
+  }
+
+  // Ranges come from the (possibly damaged) header when it parses.
+  const auto header = core::StreamHeader::tryParse(s);
+  const u64 numBlocks = header ? header->numBlocks() : 1;
+  const u64 blockSize = header ? header->blockSize : 32;
+  const u64 numElements = header ? header->numElements : 32;
+
+  const u64 first = rng.uniformInt(std::max<u64>(numBlocks, 1));
+  const u64 count = 1 + rng.uniformInt(4);
+  try {
+    const auto r = codec.decompressBlocks<T>(s, first, count);
+    fp.num(3);
+    fp.num(r.firstElement);
+    fp.values(r.values);
+  } catch (const Error& e) {
+    fp.num(4);
+    fp.text(e.what());
+  }
+
+  const auto salvaged = codec.decompressResilient<T>(s, T{-1});
+  const auto& rep = salvaged.report;
+  fp.num(rep.headerOk);
+  fp.text(rep.headerError);
+  fp.num(rep.streamChecksumOk);
+  fp.num(rep.blockChecksums);
+  fp.num(rep.dictionaryOk);
+  fp.num(rep.framingDamaged);
+  fp.num(rep.totalBlocks);
+  fp.num(rep.goodBlocks);
+  fp.num(rep.badBlocks);
+  fp.num(rep.firstCorruptOffset);
+  fp.values(rep.verdicts);
+  fp.values(salvaged.data);
+  if (!rep.clean()) ++tally.salvageFlagged;
+  const std::string violation =
+      reportViolation(rep, salvaged.data.empty());
+  if (!violation.empty()) return violation;
+
+  // Replace up to three whole blocks with seeded values.
+  const u64 replaceFirst = rng.uniformInt(std::max<u64>(numBlocks, 1));
+  const u64 eFirst = replaceFirst * blockSize;
+  const u64 eLast = std::min<u64>(
+      numElements, (replaceFirst + 1 + rng.uniformInt(3)) * blockSize);
+  std::vector<T> values(eLast > eFirst ? eLast - eFirst : blockSize);
+  for (T& v : values) v = static_cast<T>(rng.uniform(-50.0, 50.0));
+  const bool recordReplace = stampHolds(s, header);
+  try {
+    const auto c = codec.replaceBlocks<T>(s, replaceFirst, values);
+    if (recordReplace) {
+      fp.num(5);
+      fp.values(c.stream);
+    }
+  } catch (const Error& e) {
+    if (recordReplace) {
+      fp.num(6);
+      fp.text(e.what());
+    }
+  }
+  return "";
+}
+
 std::string drive(core::CompressorStream& codec, const BaseStream& base,
-                  ConstByteSpan mutant) {
+                  ConstByteSpan mutant, Rng& rng, Fingerprint& fp,
+                  Tally& tally) {
   return base.precision == Precision::F32
-             ? driveTyped<f32>(codec, mutant)
-             : driveTyped<f64>(codec, mutant);
+             ? driveTyped<f32>(codec, mutant, rng, fp, tally)
+             : driveTyped<f64>(codec, mutant, rng, fp, tally);
 }
 
 }  // namespace
@@ -250,15 +379,15 @@ int main(int argc, char** argv) {
   const auto pool = makeBasePool(codec);
   codec.reconfigure(core::Config{.absErrorBound = 1e-2});
 
-  u64 strictRejected = 0;
-  u64 salvageDamaged = 0;
+  Fingerprint fp;
+  Tally tally;
   for (u64 i = 0; i < iterations; ++i) {
     Rng rng(SplitMix64(seed ^ (i * 0x9E3779B97F4A7C15ull)).next());
     const BaseStream& base = pool[rng.uniformInt(pool.size())];
     std::vector<std::byte> mutant = base.bytes;
     const std::string what = mutate(rng, mutant);
 
-    const std::string violation = drive(codec, base, mutant);
+    const std::string violation = drive(codec, base, mutant, rng, fp, tally);
     if (!violation.empty()) {
       std::fprintf(stderr,
                    "fuzz_decode FAILED: %s (mutation: %s, seed %llu, "
@@ -268,29 +397,14 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(i));
       return 1;
     }
-
-    // Tally outcomes for the summary line (coverage sanity, not pass/fail).
-    try {
-      if (base.precision == Precision::F32) {
-        (void)codec.decompress<f32>(mutant);
-      } else {
-        (void)codec.decompress<f64>(mutant);
-      }
-    } catch (const Error&) {
-      ++strictRejected;
-    }
-    const bool clean =
-        base.precision == Precision::F32
-            ? codec.decompressResilient<f32>(mutant).report.clean()
-            : codec.decompressResilient<f64>(mutant).report.clean();
-    if (!clean) ++salvageDamaged;
   }
 
   std::printf("fuzz_decode: %llu mutants ok (%llu strict-rejected, %llu "
-              "salvage-flagged, seed %llu)\n",
+              "salvage-flagged, seed %llu)\nfingerprint=%016llx\n",
               static_cast<unsigned long long>(iterations),
-              static_cast<unsigned long long>(strictRejected),
-              static_cast<unsigned long long>(salvageDamaged),
-              static_cast<unsigned long long>(seed));
+              static_cast<unsigned long long>(tally.strictRejected),
+              static_cast<unsigned long long>(tally.salvageFlagged),
+              static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(fp.value()));
   return 0;
 }

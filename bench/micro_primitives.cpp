@@ -89,6 +89,54 @@ void BM_BlockEncodeDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_BlockEncodeDecode);
 
+// One 32-value FLE block decoded to f32 values, as the decode kernel does
+// it: the chain (decode to quantization integers, then dequantize) against
+// the fused register pass. Args: fused, fl, outlier mode (2-byte outlier).
+void BM_DecodeBlock(benchmark::State& state) {
+  const bool fused = state.range(0) != 0;
+  core::BlockHeader h;
+  h.fixedLength = static_cast<u32>(state.range(1));
+  h.outlierMode = state.range(2) != 0;
+  h.outlierBytes = h.outlierMode ? 2 : 1;
+  const core::BlockCodec codec(32);
+  const core::Quantizer quantizer(1e-3);
+  Rng rng(5);
+  std::vector<std::byte> payload(core::payloadSize(h, 32));
+  for (auto& b : payload) b = static_cast<std::byte>(rng.next());
+  std::vector<i32> q(32);
+  std::vector<f32> out(32);
+  if (fused && !codec.decodeValues<f32>(h, payload.data(), quantizer.twoEb(),
+                                        out)) {
+    state.SkipWithError("no fused decode on this host or SIMD mode");
+    return;
+  }
+  for (auto _ : state) {
+    if (fused) {
+      codec.decodeValues<f32>(h, payload.data(), quantizer.twoEb(), out);
+    } else {
+      codec.decode(h, payload.data(), q);
+      if (!simd::dequantize(q, quantizer.twoEb(), out.data())) {
+        for (usize i = 0; i < 32; ++i) out[i] = quantizer.dequantize<f32>(q[i]);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<i64>(state.iterations()) * 128);
+}
+BENCHMARK(BM_DecodeBlock)
+    ->ArgNames({"fused", "fl", "outlier"})
+    ->Args({0, 8, 0})
+    ->Args({1, 8, 0})
+    ->Args({0, 16, 0})
+    ->Args({1, 16, 0})
+    ->Args({0, 0, 1})
+    ->Args({1, 0, 1})
+    ->Args({0, 8, 1})
+    ->Args({1, 8, 1})
+    ->Args({0, 16, 1})
+    ->Args({1, 16, 1});
+
 void BM_PackPlanes(benchmark::State& state) {
   const u32 fl = static_cast<u32>(state.range(0));
   Rng rng(3);

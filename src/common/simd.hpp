@@ -1,5 +1,6 @@
 // Host SIMD dispatch for the hot codec kernels (quantize+diff, bit-plane
-// pack/unpack, prefix sums, dequantize), the REL bound's min/max range
+// pack/unpack, prefix sums, dequantize, the fused FLE block decode), the
+// REL bound's min/max range
 // reduction, the v3 analysis pass (symbol runs, Lorenzo-2D residuals,
 // Huffman block sizes) and the v3 Lorenzo-2D reconstruction.
 // The compressed format is defined by the scalar kernels; every vector
@@ -387,8 +388,10 @@ __attribute__((target("avx2"))) inline void packPlanes32Avx2(const u32* vals,
   }
 }
 
-__attribute__((target("avx2"))) inline void unpackPlanes32Avx2(
-    const std::byte* in, u32 fl, u32* vals) {
+/// The fl planes of a 32-value block as four registers of values 0-7,
+/// 8-15, 16-23 and 24-31.
+__attribute__((target("avx2"))) inline void unpackPlanes32Regs(
+    const std::byte* in, u32 fl, __m256i (&v)[4]) {
   __m256i v0 = _mm256_setzero_si256();
   __m256i v1 = v0;
   __m256i v2 = v0;
@@ -413,10 +416,19 @@ __attribute__((target("avx2"))) inline void unpackPlanes32Avx2(
         v3, _mm256_sll_epi32(_mm256_cvtepu8_epi32(_mm_srli_si128(hi, 8)),
                              shift));
   }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals), v0);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 8), v1);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 16), v2);
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 24), v3);
+  v[0] = v0;
+  v[1] = v1;
+  v[2] = v2;
+  v[3] = v3;
+}
+
+__attribute__((target("avx2"))) inline void unpackPlanes32Avx2(
+    const std::byte* in, u32 fl, u32* vals) {
+  __m256i v[4];
+  unpackPlanes32Regs(in, fl, v);
+  for (u32 j = 0; j < 4; ++j) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(vals + 8 * j), v[j]);
+  }
 }
 
 __attribute__((target("avx2"))) inline void packPlanesAvx2(const u32* vals,
@@ -565,6 +577,94 @@ __attribute__((target("avx2"))) inline void dequantizeF64Avx2(
                      _mm256_mul_pd(_mm256_cvtepi32_pd(qi), scale));
   }
   for (; i < n; ++i) out[i] = static_cast<f64>(q[i]) * twoEb;
+}
+
+/// Lanes [0, m) of eight quantization integers, dequantized as
+/// dequantizeF32Avx2 / dequantizeF64Avx2 do, stored to out[0..min(m, 8)).
+__attribute__((target("avx2"))) inline void storeDequantized8(
+    __m256i q, __m256d scale, usize m, f32* out) {
+  const __m256 v = _mm256_set_m128(
+      _mm256_cvtpd_ps(_mm256_mul_pd(
+          _mm256_cvtepi32_pd(_mm256_extracti128_si256(q, 1)), scale)),
+      _mm256_cvtpd_ps(_mm256_mul_pd(
+          _mm256_cvtepi32_pd(_mm256_castsi256_si128(q)), scale)));
+  if (m >= 8) {
+    _mm256_storeu_ps(out, v);
+    return;
+  }
+  _mm256_maskstore_ps(
+      out,
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<i32>(m)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+      v);
+}
+
+__attribute__((target("avx2"))) inline void storeDequantized8(
+    __m256i q, __m256d scale, usize m, f64* out) {
+  const __m256d lo = _mm256_mul_pd(
+      _mm256_cvtepi32_pd(_mm256_castsi256_si128(q)), scale);
+  const __m256d hi = _mm256_mul_pd(
+      _mm256_cvtepi32_pd(_mm256_extracti128_si256(q, 1)), scale);
+  if (m >= 8) {
+    _mm256_storeu_pd(out, lo);
+    _mm256_storeu_pd(out + 4, hi);
+    return;
+  }
+  const __m256i keep =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<i32>(m)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  _mm256_maskstore_pd(
+      out, _mm256_cvtepi32_epi64(_mm256_castsi256_si128(keep)), lo);
+  if (m > 4) {
+    _mm256_maskstore_pd(
+        out + 4, _mm256_cvtepi32_epi64(_mm256_extracti128_si256(keep, 1)),
+        hi);
+  }
+}
+
+/// One first-order FLE block of 32 values decoded in registers, payload
+/// to output: unpackPlanes32Avx2's plane unpack, the outlier magnitude in
+/// lane 0, applySignsAvx2's sign blend (as (a ^ neg) - neg, the same
+/// wrapping negation), prefixSumI32Avx2's scan with the carry broadcast
+/// from lane 7 of each group, then storeDequantized8. Reads the payload's
+/// 4 sign bytes, its `outlierBytes` outlier bytes (0 = plain) and its
+/// fl * 4 plane bytes (masked), and nothing else; stores out[0..n) only.
+template <typename T>
+__attribute__((target("avx2"))) inline void decodeFleBlock32Avx2(
+    const std::byte* payload, u32 outlierBytes, u32 fl, f64 twoEb, usize n,
+    T* out) {
+  u32 signs = 0;
+  std::memcpy(&signs, payload, 4);  // byte j = signs of values 8j..8j+7
+  u32 outlier = 0;
+  for (u32 k = 0; k < outlierBytes; ++k) {
+    outlier |= std::to_integer<u32>(payload[4 + k]) << (8 * k);
+  }
+  __m256i abs[4];
+  unpackPlanes32Regs(payload + 4 + outlierBytes, fl, abs);
+  if (outlierBytes > 0) {
+    abs[0] = _mm256_blend_epi32(
+        abs[0], _mm256_set1_epi32(static_cast<i32>(outlier)), 0x01);
+  }
+  const __m256i signWord = _mm256_set1_epi32(static_cast<i32>(signs));
+  const __m256i laneBits = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i lastLane = _mm256_set1_epi32(7);
+  const __m256d scale = _mm256_set1_pd(twoEb);
+  __m256i carry = _mm256_setzero_si256();
+#pragma GCC unroll 4
+  for (u32 j = 0; j < 4; ++j) {
+    if (8 * j >= n) break;
+    const __m256i neg = _mm256_cmpeq_epi32(
+        _mm256_and_si256(
+            _mm256_srl_epi32(signWord,
+                             _mm_cvtsi32_si128(static_cast<int>(8 * j))),
+            laneBits),
+        laneBits);
+    const __m256i r =
+        _mm256_sub_epi32(_mm256_xor_si256(abs[j], neg), neg);
+    const __m256i q = _mm256_add_epi32(scan8Epi32(r), carry);
+    carry = _mm256_permutevar8x32_epi32(q, lastLane);
+    storeDequantized8(q, scale, n - 8 * j, out + 8 * j);
+  }
 }
 
 /// Min and max of v[0..n), n >= 1, equal to the scalar fold
@@ -1068,6 +1168,33 @@ inline bool dequantize(std::span<const i32> q, f64 twoEb, f64* out) {
   }
 #endif
   (void)q;
+  (void)twoEb;
+  (void)out;
+  return false;
+}
+
+/// One first-order FLE block decoded straight to values: the payload
+/// (signs, then `outlierBytes` outlier bytes when nonzero, then fl bit
+/// planes) through applySigns, prefixSumI32 and dequantize in registers,
+/// storing out[0..out.size()) of the block's values. Reads only the
+/// block's sign, outlier and plane bytes. Runs for 32-value blocks with a
+/// payload (not a plain fl == 0 block); false = caller runs that chain.
+template <typename T>
+inline bool decodeFleBlock(const std::byte* payload, u32 blockSize,
+                           u32 outlierBytes, u32 fl, f64 twoEb,
+                           std::span<T> out) {
+#if defined(CUSZP2_SIMD_X86)
+  if (nativeActive() && blockSize == 32 && out.size() <= 32 &&
+      (outlierBytes > 0 || fl > 0)) {
+    detail::decodeFleBlock32Avx2(payload, outlierBytes, fl, twoEb,
+                                 out.size(), out.data());
+    return true;
+  }
+#endif
+  (void)payload;
+  (void)blockSize;
+  (void)outlierBytes;
+  (void)fl;
   (void)twoEb;
   (void)out;
   return false;

@@ -18,14 +18,6 @@ u8 BlockHeader::pack() const {
   return b;
 }
 
-BlockHeader BlockHeader::unpack(u8 offsetByte) {
-  BlockHeader h;
-  h.outlierMode = (offsetByte & 0x80u) != 0;
-  h.outlierBytes = h.outlierMode ? (((offsetByte >> 5) & 0x3u) + 1) : 1;
-  h.fixedLength = offsetByte & 0x1Fu;
-  return h;
-}
-
 usize payloadSize(const BlockHeader& header, u32 blockSize) {
   const usize pb = planeBytes(blockSize);
   if (header.outlierMode) {

@@ -18,6 +18,7 @@
 
 #include <span>
 
+#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace cuszp2::core {
@@ -29,7 +30,15 @@ struct BlockHeader {
   u32 fixedLength = 0;   // 0..31
 
   u8 pack() const;
-  static BlockHeader unpack(u8 offsetByte);
+
+  /// Inline: every decoded block unpacks its offset byte.
+  static BlockHeader unpack(u8 offsetByte) {
+    BlockHeader h;
+    h.outlierMode = (offsetByte & 0x80u) != 0;
+    h.outlierBytes = h.outlierMode ? (((offsetByte >> 5) & 0x3u) + 1) : 1;
+    h.fixedLength = offsetByte & 0x1Fu;
+    return h;
+  }
 };
 
 /// Payload byte count implied by a header for blocks of `blockSize`
@@ -92,6 +101,20 @@ class BlockCodec {
   /// offset byte and its payload. `quants.size()` must equal blockSize.
   void decode(const BlockHeader& header, const std::byte* payload,
               std::span<i32> quants) const;
+
+  /// Decodes a block straight to values in one register pass
+  /// (simd::decodeFleBlock): out[i] = (T)(quants[i] * twoEb) for the first
+  /// out.size() <= blockSize values, byte-identical to decode() followed by
+  /// Quantizer::dequantize. False when that pass cannot run (scalar mode,
+  /// a block size other than 32, a plain fl == 0 block); the caller then
+  /// takes the decode-then-dequantize chain.
+  template <FloatingPoint T>
+  bool decodeValues(const BlockHeader& header, const std::byte* payload,
+                    f64 twoEb, std::span<T> out) const {
+    return simd::decodeFleBlock(payload, blockSize_,
+                                header.outlierMode ? header.outlierBytes : 0,
+                                header.fixedLength, twoEb, out);
+  }
 
   // Residual-level API: same sign/outlier/bit-plane format, but the caller
   // supplies prediction residuals directly (element 0 is the outlier

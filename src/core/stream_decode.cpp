@@ -345,7 +345,8 @@ std::optional<HuffDecoder> loadDictionary(const char* api,
 }
 
 /// What a tile-decode kernel decodes:
-///   Strict   every block, zero blocks by memset;
+///   Strict   every block, zero blocks by memset (skipped on a
+///            zero-filled output);
 ///   Range    blocks [firstBlock, endBlock), charged block by block;
 ///   Salvage  blocks whose verdict is Good; a block whose decode throws
 ///            becomes DecodeError and keeps the fill value.
@@ -369,6 +370,9 @@ struct TileOutput {
   u64 endBlock = 0;
   BlockVerdict* verdicts = nullptr;  ///< Salvage mode
   T fill{};                          ///< Salvage mode
+  /// Strict mode: data is already all T{} and no relaunch rewrites it, so
+  /// zero blocks are charged but not stored.
+  bool zeroFilled = false;
 };
 
 template <FloatingPoint T, bool kV3>
@@ -390,6 +394,7 @@ gpusim::KernelDesc buildTileDecodeAs(TileMode mode, const char* api,
   const usize payloadAvail =
       stream.size() - header.payloadBegin() - header.footerBytes();
   const Quantizer quantizer(header.absErrorBound);
+  const f64 twoEb = quantizer.twoEb();
   const BlockCodec codec(L);
   const PayloadSizeTable psize(L);
   const AccessRecorder access{config.vectorizedAccess,
@@ -454,24 +459,35 @@ gpusim::KernelDesc buildTileDecodeAs(TileMode mode, const char* api,
       if (!range && (!salvage || charge.salvageMemset) &&
           isZeroBlock(d, size)) {
         // Zero block: flush with device memset (paper Sec. V-B, JetIn).
-        std::fill(dst, dst + elems, T{});
+        // The host skips the store into an output that is already zero;
+        // the model charges the memset either way.
+        if (!out.zeroFilled) std::fill(dst, dst + elems, T{});
         zeroBytes += elems * sizeof(T);
         continue;
       }
-      const std::span<i32> q(quantsArr, L);
       try {
         if (start + size > payloadAvail) {
           throw Error(std::string(api) + ": truncated payload region");
         }
-        decodeBlock(d, ConstByteSpan(payload + start, size), codec, decoder,
-                    predictor, q);
+        // A first-order FLE block decodes to values in one register pass;
+        // any other block, or a host without it, through its quantization
+        // integers.
+        if (d.pipeline != PipelineId::Fle ||
+            predictor != Predictor::FirstOrder ||
+            !codec.decodeValues(BlockHeader::unpack(d.offsetByte),
+                                payload + start, twoEb,
+                                std::span<T>(dst, elems))) {
+          decodeBlock(d, ConstByteSpan(payload + start, size), codec,
+                      decoder, predictor, std::span<i32>(quantsArr, L));
+          dequantizeSpan(quantizer, std::span<const i32>(quantsArr, elems),
+                         dst);
+        }
       } catch (const Error&) {
         if (!salvage) throw;
         out.verdicts[blk] = BlockVerdict::DecodeError;
         std::fill(dst, dst + elems, out.fill);
         continue;
       }
-      dequantizeSpan(quantizer, std::span<const i32>(quantsArr, elems), dst);
       if (range) {
         access.read(ctx.mem, size, 4);
         access.write(ctx.mem, elems * sizeof(T), sizeof(T));
@@ -598,20 +614,24 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   const std::optional<HuffDecoder> decoder =
       loadDictionary("decompress", header, stream);
 
+  // Detect-and-retry (Config::faultRetries): every tile digests the output
+  // elements it just wrote (reading back its own stores, before a soft
+  // error can land) and the host re-derives the digests after the launch.
+  // A relaunch must rewrite every element, so only an unverified launch
+  // leaves zero blocks to the zero-filled output. The v3 kernels run
+  // without it, as on the write side.
+  const bool verified = config_.faultRetries > 0 && !v3;
   const u32 tiles = tileCount(numBlocks, bpt);
   std::optional<TileSync> lookback;
   if (!v3) lookback.emplace(config_.syncAlgorithm, tiles, arena_);
   gpusim::KernelDesc desc = buildTileDecode<T>(
       TileMode::Strict, "decompress", header, stream, config_, timing_,
       {lookback ? &*lookback : nullptr, blockStart.data()},
-      decoder ? &*decoder : nullptr, {.data = out.data.data()});
+      decoder ? &*decoder : nullptr,
+      {.data = out.data.data(), .zeroFilled = !verified});
 
-  // Detect-and-retry (Config::faultRetries): every tile digests the output
-  // elements it just wrote (reading back its own stores, before a soft
-  // error can land) and the host re-derives the digests after the launch.
-  // The v3 kernels run without it, as on the write side.
   gpusim::LaunchResult launch;
-  if (config_.faultRetries > 0 && !v3) {
+  if (verified) {
     const std::span<u32> tileWriteCrc = arena_.allocSpan<u32>(tiles);
     const T* data = out.data.data();
     const auto tileCrc = [=](u32 t) {
@@ -708,17 +728,21 @@ std::vector<DecompressedRaw> CompressorStream::decompressBatchRaw(
     job.sync.emplace(config_.syncAlgorithm,
                      tileCount(job.header.numBlocks(), config_.blocksPerTile),
                      arena_);
+    // The fused launch never relaunches (fault retries take the serial
+    // path above), so zero blocks are left to the zero-filled outputs.
     const TileBase base{&*job.sync, nullptr};
     if (job.header.precision == Precision::F32) {
       job.desc = buildTileDecode<f32>(
           TileMode::Strict, "decompressBatch", job.header, stream, config_,
           timing_, base, nullptr,
-          {.data = reinterpret_cast<f32*>(out[i].data.data())});
+          {.data = reinterpret_cast<f32*>(out[i].data.data()),
+           .zeroFilled = true});
     } else {
       job.desc = buildTileDecode<f64>(
           TileMode::Strict, "decompressBatch", job.header, stream, config_,
           timing_, base, nullptr,
-          {.data = reinterpret_cast<f64*>(out[i].data.data())});
+          {.data = reinterpret_cast<f64*>(out[i].data.data()),
+           .zeroFilled = true});
     }
   }
 

@@ -89,7 +89,7 @@ CUSZP2_SIMD=scalar \
 # on, halting on the first UBSan report instead of printing and going on.
 echo "==== [asan] SIMD kernel suites, CUSZP2_SIMD=native ===="
 for t in test_simd test_fle test_block_codec test_pipeline \
-         test_format_golden; do
+         test_format_golden test_fused_decode; do
   (cd "${repo_root}/build-ci-asan" &&
     CUSZP2_SIMD=native UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
       "./tests/${t}")
@@ -114,8 +114,12 @@ echo "==== [asan] ctest -L cas ===="
 (cd "${repo_root}/build-ci-asan" &&
   ctest --output-on-failure -j "${jobs}" -L cas)
 
+# Both dispatch modes: scalar walks the reference decode loops, native
+# sends hostile payloads through the fused FLE block decode's loads.
 echo "==== [asan] fuzz_decode (500 structured mutants, v1/v2/v3 pool) ===="
-"${repo_root}/build-ci-asan/tools/fuzz_decode" 500 1
+CUSZP2_SIMD=scalar "${repo_root}/build-ci-asan/tools/fuzz_decode" 500 1
+echo "==== [asan] fuzz_decode, CUSZP2_SIMD=native ===="
+CUSZP2_SIMD=native "${repo_root}/build-ci-asan/tools/fuzz_decode" 500 1
 
 # The soak already runs inside the asan ctest pass (test_service carries
 # the fast label); the explicit invocation keeps a red service build from

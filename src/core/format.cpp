@@ -93,6 +93,12 @@ StreamHeader StreamHeader::parse(ConstByteSpan stream) {
   }
   require(stream.size() >= h.payloadBegin() + h.footerBytes(),
           "StreamHeader: stream shorter than its offset array and footer");
+  // v3 blocks predict first order (a LorenzoFle block carries its own
+  // predictor) and the writer records no other value. Checked last, so a
+  // header that fails another check keeps that check's message.
+  require(version < kFormatVersionV3 || h.predictor == Predictor::FirstOrder,
+          "StreamHeader: a version-3 stream must record the first-order "
+          "predictor");
   return h;
 }
 

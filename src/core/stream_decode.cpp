@@ -85,12 +85,6 @@ bool isZeroBlock(const V3BlockDesc& d, usize size) {
          d.pipeline != PipelineId::Rle;
 }
 
-/// v3 blocks predict first order (LorenzoFle carries its own) whatever the
-/// header's predictor byte says; v1/v2 blocks use the header's predictor.
-Predictor blockPredictor(const StreamHeader& header) {
-  return isV3(header) ? Predictor::FirstOrder : header.predictor;
-}
-
 /// Per-generation model charges of the decode kernels. The v1/v2 and v3
 /// kernels were calibrated separately; these are fixed facts of the
 /// model, not options.
@@ -399,7 +393,7 @@ gpusim::KernelDesc buildTileDecodeAs(TileMode mode, const char* api,
   const PayloadSizeTable psize(L);
   const AccessRecorder access{config.vectorizedAccess,
                               timing.spec().transactionBytes};
-  const Predictor predictor = blockPredictor(header);
+  const Predictor predictor = header.predictor;
   const u32 descOps = mode == TileMode::Strict  ? charge.strictDescOps
                       : mode == TileMode::Range ? charge.rangeDescOps
                                                 : 0;
@@ -592,16 +586,14 @@ Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
   f64 checksumSeconds = verifyChecksum("decompress", header, stream, timing_);
   // Layout validation before any payload read: the prefix-summed payload
   // sizes must stay inside the stream, and per-block digests must match
-  // (one extra bandwidth pass over the compressed bytes). An empty v3
-  // stream is not walked; an empty v1/v2 one is frame-checked.
+  // (one extra bandwidth pass over the compressed bytes). An empty stream
+  // is frame-checked too.
   const std::span<u64> blockStart =
       v3 ? arena_.allocSpan<u64>(numBlocks) : std::span<u64>{};
-  if (!v3 || n > 0) {
-    validateLayout(header, stream,
-                   {.api = "decompress", .blockStart = blockStart});
-    if (header.hasBlockChecksums()) {
-      checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
-    }
+  validateLayout(header, stream,
+                 {.api = "decompress", .blockStart = blockStart});
+  if (header.hasBlockChecksums()) {
+    checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
   }
 
   Decompressed<T> out;
@@ -866,7 +858,7 @@ Compressed CompressorStream::replaceBlocks(ConstByteSpan stream,
   // predictor and mode (one small kernel). Spliced blocks do not consult
   // a v3 dictionary, so that section passes through unchanged and stays
   // valid for every untouched Huffman block.
-  const Predictor predictor = blockPredictor(header);
+  const Predictor predictor = header.predictor;
   const u32 descGranule = kCharges[isV3(header)].descGranule;
   const Quantizer quantizer(header.absErrorBound, config_.roundingMode);
   const BlockCodec codec(L);

@@ -133,6 +133,50 @@ TEST(BlockWalker, V2ByteWithBit5FailsItsDigestThenDecodesAsPlainFle) {
   EXPECT_EQ(restamped.data, clean.data);
 }
 
+// An empty stream is walked like any other: bytes after an empty v3
+// stream's header are a framing error, as after an empty v2 stream's.
+TEST(BlockWalker, EmptyV3StreamWithTrailingBytesIsRejected) {
+  for (const bool v3 : {false, true}) {
+    Config cfg;
+    cfg.absErrorBound = 1e-3;
+    cfg.blockChecksums = true;
+    if (v3) cfg.pipeline = PipelineMode::Auto;
+    CompressorStream codec(cfg);
+    std::vector<std::byte> stream =
+        codec.compress<f32>(std::vector<f32>{}).stream;
+    EXPECT_TRUE(codec.decompress<f32>(stream).data.empty());
+    stream.push_back(std::byte{0x5A});
+    stream.push_back(std::byte{0xA5});
+    try {
+      (void)codec.decompress<f32>(stream);
+      ADD_FAILURE() << "trailing bytes accepted, v3 " << v3;
+    } catch (const Error& e) {
+      const std::string expected = std::string("version-") +
+                                   (v3 ? "3" : "2") +
+                                   " stream framing mismatch";
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// A v3 header records the first-order predictor; a damaged predictor byte
+// (SecondOrder: bit 0 of header byte 11) fails strict decode even without
+// a CRC stamp to catch it.
+TEST(BlockWalker, V3HeaderWithAnotherPredictorIsRejected) {
+  Config cfg;
+  cfg.absErrorBound = 1e-3;
+  cfg.pipeline = PipelineMode::Auto;
+  CompressorStream codec(cfg);
+  std::vector<std::byte> stream =
+      codec.compress<f32>(fieldWithZeroRun(4096)).stream;
+  ASSERT_EQ(StreamHeader::parse(stream).checksum, 0u);
+  stream[11] ^= std::byte{0x01};
+  EXPECT_THROW((void)codec.decompress<f32>(stream), Error);
+  EXPECT_THROW((void)codec.decompressBlocks<f32>(stream, 0, 1), Error);
+  EXPECT_FALSE(codec.decompressResilient<f32>(stream).report.headerOk);
+}
+
 class SecondOrderPaths : public ::testing::TestWithParam<bool> {};
 
 // Range decode, salvage and replaceBlocks on v1 and v2 SecondOrder

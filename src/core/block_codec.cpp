@@ -134,9 +134,10 @@ void BlockCodec::decodeResiduals(const BlockHeader& header,
   if (header.outlierMode) absVals[0] = outlierAbs;
 
   if (!simd::applySigns(signs, absVals, residuals.data())) {
+    // u32 negation: a hostile 2^31 outlier wraps like the vector path.
     for (usize i = 0; i < blockSize_; ++i) {
-      residuals[i] = signBit(signs, i) ? -static_cast<i32>(absVals[i])
-                                       : static_cast<i32>(absVals[i]);
+      residuals[i] = static_cast<i32>(signBit(signs, i) ? 0u - absVals[i]
+                                                        : absVals[i]);
     }
   }
 }
@@ -181,10 +182,11 @@ void BlockCodec::decode(const BlockHeader& header, const std::byte* payload,
   std::span<i32> d(diffs, blockSize_);
   decodeResiduals(header, payload, d);
   if (!simd::prefixSumI32(d, quants.data())) {
-    i32 acc = 0;
+    // Summed in u32, wrapping like the vector prefix sum.
+    u32 acc = 0;
     for (usize i = 0; i < blockSize_; ++i) {
-      acc += d[i];
-      quants[i] = acc;
+      acc += static_cast<u32>(d[i]);
+      quants[i] = static_cast<i32>(acc);
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "core/block_codec.hpp"
 
 namespace cuszp2::core {
@@ -264,6 +265,40 @@ TEST(BlockCodec, ResidualRoundTrip) {
                           payload.data(), rec);
     ASSERT_EQ(rec, res) << trial;
   }
+}
+
+// A hostile payload whose magnitudes overflow i32 (every plane bit set, a
+// 2^31 outlier, every sign negative) decodes by wrapping in u32, in both
+// SIMD modes: no signed overflow for UBSan to report.
+TEST(BlockCodec, DecodeWrapsHostileMagnitudes) {
+  const simd::Mode saved = simd::activeMode();
+  const BlockCodec codec(32);
+  for (const bool outlier : {false, true}) {
+    BlockHeader h;
+    h.outlierMode = outlier;
+    h.outlierBytes = 4;
+    h.fixedLength = 31;
+    std::vector<std::byte> payload(payloadSize(h, 32), std::byte{0xFF});
+    if (outlier) {
+      payload[4] = payload[5] = payload[6] = std::byte{0x00};
+      payload[7] = std::byte{0x80};
+    }
+    std::vector<i32> expected(32);
+    u32 acc = 0;
+    for (usize i = 0; i < 32; ++i) {
+      const u32 mag = outlier && i == 0 ? 0x80000000u : 0x7FFFFFFFu;
+      acc += 0u - mag;
+      expected[i] = static_cast<i32>(acc);
+    }
+    for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+      simd::setMode(mode);
+      std::vector<i32> rec(32);
+      codec.decode(h, payload.data(), rec);
+      EXPECT_EQ(rec, expected) << "outlier " << outlier << " mode "
+                               << simd::modeName();
+    }
+  }
+  simd::setMode(saved);
 }
 
 TEST(BlockCodec, PlanRejectsWrongSize) {

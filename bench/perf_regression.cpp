@@ -76,6 +76,7 @@ constexpr WallBudget kWallBudgets[] = {
     {"jetin/compress", 14.0},        {"jetin/decompress", 4.5},
     {"jetin/round_trip", 17.0},      {"service/batched", 42.0},
     {"service/unbatched", 45.0},     {"service/batched_decompress", 20.0},
+    {"service/unbatched_decompress", 20.0},
     {"service/chaos", 80.0},         {"cluster/failover", 90.0},
     {"ratio/v3", 60.0},              {"ratio/v2crc", 14.0},
     {"ratio/v3_decompress", 10.0},   {"cas/dedup", 25.0},
@@ -274,7 +275,7 @@ void wallServiceDecompressOnce(
 /// One pass of the pre-compressed workload back through the service as
 /// decompress jobs. Same submit-all-then-resume discipline; `launches`
 /// counts fused launches (a batched run must fuse the jobs into fewer
-/// launches than jobs — the decompress-side coalescing this PR adds).
+/// launches than jobs).
 Modelled modelServiceDecompressOnce(
     const std::vector<std::vector<std::byte>>& streams, bool batched,
     u64* launches) {
@@ -542,61 +543,85 @@ int main(int argc, char** argv) {
     u64 totalElems = 0;
     for (const ServiceJob& j : jobs) totalElems += j.elems;
 
-    const bool batchedFlag[2] = {true, false};
-    const char* caseNames[2] = {"service/batched", "service/unbatched"};
-    for (usize v = 0; v < 2; ++v) {
-      u64 launches = 0;
-      const Modelled pass1 =
-          modelServiceOnce(jobs, fields, batchedFlag[v], &launches);
-      const Modelled pass2 =
-          modelServiceOnce(jobs, fields, batchedFlag[v], nullptr);
-      if (!(pass1 == pass2)) {
-        std::fprintf(stderr,
-                     "FAIL %s: modelled metrics differ between runs "
-                     "(%.17g vs %.17g GB/s)\n",
-                     caseNames[v], pass1.gbps, pass2.gbps);
-        deterministic = false;
-      }
-      service::ServiceConfig wcfg;
-      wcfg.workers = 1;
-      wcfg.startPaused = true;
-      wcfg.maxBatchJobs = batchedFlag[v] ? 8 : 1;
-      service::CompressionService warmSvc(wcfg);
-      wallServiceOnce(warmSvc, jobs, fields);  // warm the worker's arena
-      const bench::RepeatStats wall = bench::measureRepeated(
-          3, [&] { wallServiceOnce(warmSvc, jobs, fields); });
-
-      CaseResult r;
-      r.name = caseNames[v];
-      r.elems = totalElems;
-      r.ratio = pass1.ratio;
-      r.modelledSeconds = pass1.seconds;
-      r.modelledGBps = pass1.gbps;
-      r.wall = wall;
-      r.launches = launches;
-      std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
-                  "  (%zu jobs, %llu launches)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
-                  jobs.size(), static_cast<unsigned long long>(launches));
-
-      f64 prior = 0.0;
-      if (!previous.empty() && previousGbps(previous, r.name, &prior) &&
-          prior > 0.0) {
-        const f64 drift = std::fabs(r.modelledGBps - prior) / prior;
-        if (drift > kTolerance) {
-          std::printf("WARN %s: modelled throughput drifted %.1f%% "
-                      "(%.2f -> %.2f GB/s)\n",
-                      r.name.c_str(), drift * 100.0, prior, r.modelledGBps);
-          ++warns;
+    // One row per coalescing setting (maxBatchJobs 8, then 1): two
+    // modelled passes that must agree, a batched run that must fuse the
+    // jobs into fewer launches than jobs, and the wall time of a warm
+    // service. `model(batched, launches)` and `wallOnce(svc)` run the
+    // workload once.
+    const auto servicePair = [&](const char* const (&names)[2],
+                                 const auto& model, const auto& wallOnce) {
+      for (usize v = 0; v < 2; ++v) {
+        const bool batched = v == 0;
+        const char* name = names[v];
+        u64 launches = 0;
+        const Modelled pass1 = model(batched, &launches);
+        const Modelled pass2 = model(batched, nullptr);
+        if (!(pass1 == pass2)) {
+          std::fprintf(stderr,
+                       "FAIL %s: modelled metrics differ between runs "
+                       "(%.17g vs %.17g GB/s)\n",
+                       name, pass1.gbps, pass2.gbps);
+          deterministic = false;
         }
-      }
-      results.push_back(std::move(r));
-    }
+        if (batched && launches >= jobs.size()) {
+          std::fprintf(stderr,
+                       "FAIL %s: %llu launches for %zu jobs — coalescing "
+                       "is not fusing\n",
+                       name, static_cast<unsigned long long>(launches),
+                       jobs.size());
+          deterministic = false;
+        }
+        service::ServiceConfig wcfg;
+        wcfg.workers = 1;
+        wcfg.startPaused = true;
+        wcfg.maxBatchJobs = batched ? 8 : 1;
+        service::CompressionService warmSvc(wcfg);
+        wallOnce(warmSvc);  // warm the worker's arena
+        const bench::RepeatStats wall =
+            bench::measureRepeated(3, [&] { wallOnce(warmSvc); });
 
-    // service/batched_decompress: the same mixed workload pre-compressed
-    // OUTSIDE the timed region, then decoded through the service with
-    // coalescing on. Guards the decompress-side fusion: the launch count
-    // must stay below the job count.
+        CaseResult r;
+        r.name = name;
+        r.elems = totalElems;
+        r.ratio = pass1.ratio;
+        r.modelledSeconds = pass1.seconds;
+        r.modelledGBps = pass1.gbps;
+        r.wall = wall;
+        r.launches = launches;
+        std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
+                    "  (%zu jobs, %llu launches)\n",
+                    r.name.c_str(), r.modelledGBps, r.ratio,
+                    r.wallMsMedian(), jobs.size(),
+                    static_cast<unsigned long long>(launches));
+
+        f64 prior = 0.0;
+        if (!previous.empty() && previousGbps(previous, r.name, &prior) &&
+            prior > 0.0) {
+          const f64 drift = std::fabs(r.modelledGBps - prior) / prior;
+          if (drift > kTolerance) {
+            std::printf("WARN %s: modelled throughput drifted %.1f%% "
+                        "(%.2f -> %.2f GB/s)\n",
+                        r.name.c_str(), drift * 100.0, prior,
+                        r.modelledGBps);
+            ++warns;
+          }
+        }
+        results.push_back(std::move(r));
+      }
+    };
+
+    servicePair(
+        {"service/batched", "service/unbatched"},
+        [&](bool batched, u64* launches) {
+          return modelServiceOnce(jobs, fields, batched, launches);
+        },
+        [&](service::CompressionService& svc) {
+          wallServiceOnce(svc, jobs, fields);
+        });
+
+    // service/batched_decompress vs service/unbatched_decompress: the same
+    // mixed workload pre-compressed OUTSIDE the timed region, then decoded
+    // through the service with coalescing on and off.
     {
       core::Config cfg;
       cfg.relErrorBound = 1e-3;
@@ -607,60 +632,14 @@ int main(int argc, char** argv) {
         streams.push_back(
             codec.compress<f32>(std::span<const f32>(fields[i])).stream);
       }
-
-      u64 launches = 0;
-      const Modelled pass1 =
-          modelServiceDecompressOnce(streams, true, &launches);
-      const Modelled pass2 = modelServiceDecompressOnce(streams, true,
-                                                        nullptr);
-      if (!(pass1 == pass2)) {
-        std::fprintf(stderr,
-                     "FAIL service/batched_decompress: modelled metrics "
-                     "differ between runs (%.17g vs %.17g GB/s)\n",
-                     pass1.gbps, pass2.gbps);
-        deterministic = false;
-      }
-      if (launches >= jobs.size()) {
-        std::fprintf(stderr,
-                     "FAIL service/batched_decompress: %llu launches for "
-                     "%zu jobs — decompress coalescing is not fusing\n",
-                     static_cast<unsigned long long>(launches), jobs.size());
-        deterministic = false;
-      }
-      service::ServiceConfig wcfg;
-      wcfg.workers = 1;
-      wcfg.startPaused = true;
-      wcfg.maxBatchJobs = 8;
-      service::CompressionService warmSvc(wcfg);
-      wallServiceDecompressOnce(warmSvc, streams);  // warm the arena
-      const bench::RepeatStats wall = bench::measureRepeated(
-          3, [&] { wallServiceDecompressOnce(warmSvc, streams); });
-
-      CaseResult r;
-      r.name = "service/batched_decompress";
-      r.elems = totalElems;
-      r.ratio = pass1.ratio;
-      r.modelledSeconds = pass1.seconds;
-      r.modelledGBps = pass1.gbps;
-      r.wall = wall;
-      r.launches = launches;
-      std::printf("%-24s %8.2f GB/s modelled  ratio %6.2f  wall %7.2f ms"
-                  "  (%zu jobs, %llu launches)\n",
-                  r.name.c_str(), r.modelledGBps, r.ratio, r.wallMsMedian(),
-                  jobs.size(), static_cast<unsigned long long>(launches));
-
-      f64 prior = 0.0;
-      if (!previous.empty() && previousGbps(previous, r.name, &prior) &&
-          prior > 0.0) {
-        const f64 drift = std::fabs(r.modelledGBps - prior) / prior;
-        if (drift > kTolerance) {
-          std::printf("WARN %s: modelled throughput drifted %.1f%% "
-                      "(%.2f -> %.2f GB/s)\n",
-                      r.name.c_str(), drift * 100.0, prior, r.modelledGBps);
-          ++warns;
-        }
-      }
-      results.push_back(std::move(r));
+      servicePair(
+          {"service/batched_decompress", "service/unbatched_decompress"},
+          [&](bool batched, u64* launches) {
+            return modelServiceDecompressOnce(streams, batched, launches);
+          },
+          [&](service::CompressionService& svc) {
+            wallServiceDecompressOnce(svc, streams);
+          });
     }
 
     // service/chaos: the same workload with seeded fault injection. Both

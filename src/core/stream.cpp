@@ -1,6 +1,7 @@
 #include "core/stream.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 
 #include "common/crc32.hpp"
@@ -113,6 +114,12 @@ void prepareField(const Config& config, const gpusim::TimingModel& timing,
   job.tileInclusive = arena.allocSpan<u64>(job.tiles);
   if (config.faultRetries > 0) {
     job.tileWriteCrc = arena.allocSpan<u32>(job.tiles);
+    // The bytes the kernel writes: offset bytes + the payload staging
+    // capacity (a fault landing past the final payload byte is harmless
+    // by construction — those bytes never reach the stream).
+    job.desc.faultTarget = {offsetBytes, job.stagingBytes -
+                                             StreamHeader::kBytes -
+                                             job.header.footerBytes()};
   }
   job.sync.emplace(config.syncAlgorithm, job.tiles, arena);
 
@@ -359,70 +366,57 @@ void CompressorStream::applyInjectedArenaBudget() {
   }
 }
 
-gpusim::LaunchResult CompressorStream::launchVerified(
-    const gpusim::KernelDesc& desc, std::span<std::byte> faultTarget,
-    const std::function<bool()>& verify,
-    const std::function<void()>& rearm) {
-  for (u32 attempt = 0;; ++attempt) {
-    std::exception_ptr failure;
-    gpusim::LaunchResult launch;
-    bool ok = false;
-    try {
-      launch = launcher_.launch(desc.gridSize, desc.body,
-                                desc.blocksPerTask, faultTarget, desc.name);
-      ok = verify();
-    } catch (const Error&) {
-      failure = std::current_exception();
+std::vector<gpusim::LaunchResult> CompressorStream::launchRetrying(
+    std::span<const gpusim::KernelDesc> kernels,
+    const std::function<bool(usize)>& intact,
+    const std::function<void(usize)>& rearm) {
+  std::vector<gpusim::LaunchResult> results(kernels.size());
+  std::vector<usize> pending;
+  for (usize i = 0; i < kernels.size(); ++i) {
+    if (kernels[i].gridSize > 0) pending.push_back(i);
+  }
+  for (u32 attempt = 0; !pending.empty(); ++attempt) {
+    std::vector<gpusim::KernelDesc> subset;
+    if (pending.size() < kernels.size()) {
+      for (const usize i : pending) subset.push_back(kernels[i]);
     }
-    if (ok) return launch;
-    noteFaultDetected();
-    if (attempt >= config_.faultRetries) {
-      if (failure) std::rethrow_exception(failure);
+    std::vector<gpusim::LaunchResult> launches;
+    std::exception_ptr aborted;
+    try {
+      launches = launcher_.launchBatch(subset.empty() ? kernels : subset);
+    } catch (const Error&) {
+      if (config_.faultRetries == 0) throw;
+      aborted = std::current_exception();
+    }
+    // An aborted launch wrote nothing trustworthy: every kernel of it
+    // relaunches. Otherwise only the kernels whose digests mismatch do.
+    std::vector<usize> failed;
+    for (usize k = 0; k < pending.size(); ++k) {
+      if (!aborted && intact(pending[k])) {
+        results[pending[k]] = launches[k];
+      } else {
+        failed.push_back(pending[k]);
+        noteFaultDetected();
+      }
+    }
+    if (!failed.empty() && attempt >= config_.faultRetries) {
+      if (aborted) std::rethrow_exception(aborted);
       throw Error("CompressorStream: kernel output still corrupt after " +
                   std::to_string(config_.faultRetries) +
                   " fault retries — giving up");
     }
-    noteFaultRelaunch();
-    rearm();
+    for (const usize i : failed) {
+      noteFaultRelaunch();
+      rearm(i);
+    }
+    pending = std::move(failed);
   }
-}
-
-/// The byte region the compress kernel writes: offset bytes + the payload
-/// staging capacity (a fault landing past the final payload byte is
-/// harmless by construction — those bytes never reach the stream).
-std::span<std::byte> compressFaultTarget(const FieldJob& job) {
-  return {job.staging + StreamHeader::offsetsBegin(),
-          job.stagingBytes - StreamHeader::kBytes -
-              job.header.footerBytes()};
+  return results;
 }
 
 template <FloatingPoint T>
 Compressed CompressorStream::compress(std::span<const T> data) {
-  if (config_.pipeline != PipelineMode::Legacy) return compressV3<T>(data);
-  arena_.reset();
-  applyInjectedArenaBudget();
-  const usize workers = launcher_.workerCount();
-  const WorkerScratch scratch = makeWorkerScratch(
-      arena_, workers, config_.blocksPerTile, config_.blockSize);
-  FieldJob job;
-  prepareField(config_, timing_, arena_, scratch, workers, data, job);
-  gpusim::LaunchResult launch;
-  if (job.desc.gridSize > 0) {
-    if (config_.faultRetries > 0) {
-      launch = launchVerified(
-          job.desc, compressFaultTarget(job),
-          [&] { return compressWriteDigestsMatch(job, config_.blocksPerTile); },
-          [&] {
-            job.sync.emplace(config_.syncAlgorithm, job.tiles, arena_);
-          });
-    } else {
-      launch = launcher_.launch(job.desc.gridSize, job.desc.body,
-                                job.desc.blocksPerTask, {}, job.desc.name);
-    }
-  }
-  Compressed out = finishField(config_, timing_, job, launch);
-  noteCompressed(out);
-  return out;
+  return std::move(compressBatch<T>({&data, 1}).front());
 }
 
 template <FloatingPoint T>
@@ -430,7 +424,7 @@ std::vector<Compressed> CompressorStream::compressBatch(
     std::span<const std::span<const T>> fields) {
   // Format-v3 compression is a two-kernel pass with a host selection stage
   // between them, which cannot interleave inside one fused launch; each
-  // field compresses on its own (byte-identical to compress(fields[i])).
+  // field compresses on its own.
   if (config_.pipeline != PipelineMode::Legacy) {
     std::vector<Compressed> out;
     out.reserve(fields.size());
@@ -449,41 +443,21 @@ std::vector<Compressed> CompressorStream::compressBatch(
       arena_, workers, config_.blocksPerTile, config_.blockSize);
 
   std::vector<FieldJob> jobs(fields.size());
+  std::vector<gpusim::KernelDesc> descs;
+  descs.reserve(jobs.size());
   for (usize i = 0; i < fields.size(); ++i) {
     prepareField(config_, timing_, arena_, scratch, workers, fields[i],
                  jobs[i]);
-    if (config_.faultRetries > 0) {
-      jobs[i].desc.faultTarget = compressFaultTarget(jobs[i]);
-    }
+    descs.push_back(std::move(jobs[i].desc));
   }
-
-  std::vector<gpusim::KernelDesc> descs;
-  descs.reserve(jobs.size());
-  for (FieldJob& job : jobs) descs.push_back(std::move(job.desc));
-  auto launches = launcher_.launchBatch(descs);
-
-  // Per-field fault verification: a corrupt field is relaunched on its
-  // own (the surviving fields' results are kept).
-  if (config_.faultRetries > 0) {
-    for (usize i = 0; i < jobs.size(); ++i) {
-      if (descs[i].gridSize == 0 ||
-          compressWriteDigestsMatch(jobs[i], config_.blocksPerTile)) {
-        continue;
-      }
-      noteFaultDetected();
-      noteFaultRelaunch();
-      jobs[i].sync.emplace(config_.syncAlgorithm, jobs[i].tiles, arena_);
-      launches[i] = launchVerified(
-          descs[i], compressFaultTarget(jobs[i]),
-          [&, i] {
-            return compressWriteDigestsMatch(jobs[i], config_.blocksPerTile);
-          },
-          [&, i] {
-            jobs[i].sync.emplace(config_.syncAlgorithm, jobs[i].tiles,
-                                 arena_);
-          });
-    }
-  }
+  const std::vector<gpusim::LaunchResult> launches = launchRetrying(
+      descs,
+      [&](usize i) {
+        return compressWriteDigestsMatch(jobs[i], config_.blocksPerTile);
+      },
+      [&](usize i) {
+        jobs[i].sync.emplace(config_.syncAlgorithm, jobs[i].tiles, arena_);
+      });
 
   std::vector<Compressed> out;
   out.reserve(jobs.size());

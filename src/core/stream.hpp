@@ -16,6 +16,9 @@
 // Output bytes are identical to the one-shot API in all configurations.
 #pragma once
 
+#include <functional>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -178,28 +181,34 @@ class CompressorStream {
   /// that keep many idle streams around.
   void releaseScratch() { arena_.release(); }
 
-  /// Semantics identical to Compressor::compress (byte-identical output).
+  /// Semantics identical to Compressor::compress (byte-identical output):
+  /// compressBatch over one field.
   template <FloatingPoint T>
   Compressed compress(std::span<const T> data);
 
   /// Compresses several independent fields through one batched launch
   /// (one latch, one task-submission pass — see Launcher::launchBatch).
   /// Element i of the result is byte-identical to compress(fields[i]).
+  /// Under Config::faultRetries a field whose write digests mismatch
+  /// relaunches on its own; an aborted launch relaunches every field.
+  /// Format-v3 fields compress one after another (two kernels each).
   template <FloatingPoint T>
   std::vector<Compressed> compressBatch(
       std::span<const std::span<const T>> fields);
 
-  /// Semantics identical to Compressor::decompress.
+  /// Semantics identical to Compressor::decompress: decompressBatchRaw's
+  /// strict decode over one stream, into a vector<T> without a copy.
   template <FloatingPoint T>
   Decompressed<T> decompress(ConstByteSpan stream);
 
-  /// Decompresses several independent streams through one fused launch
-  /// (mirrors compressBatch: one latch, one task-submission pass).
-  /// Element i's bytes are identical to decompress(streams[i]) output.
-  /// Strict semantics: a corrupt stream throws before any kernel runs.
-  /// With Config::faultRetries > 0 the per-stream write-digest relaunch
-  /// cannot run inside a fused launch, so the call degrades to serial
-  /// decompress calls (same results, one launch per stream).
+  /// Decompresses several independent streams, of any format generation
+  /// and precision, through one fused launch (mirrors compressBatch: one
+  /// latch, one task-submission pass). Element i's bytes are identical to
+  /// decompress(streams[i]) output. Strict semantics: a corrupt stream
+  /// throws before any kernel runs. Under Config::faultRetries a v1/v2
+  /// member whose write digests mismatch relaunches on its own; v3
+  /// members carry no write digests and relaunch only when the whole
+  /// launch aborted.
   std::vector<DecompressedRaw> decompressBatchRaw(
       std::span<const ConstByteSpan> streams);
 
@@ -236,19 +245,34 @@ class CompressorStream {
   gpusim::Launcher& launcher() { return launcher_; }
 
  private:
-  // The format-v3 writer (stream_v3.cpp): compress() and compressBatch()
-  // branch here when Config::pipeline != Legacy. Every generation decodes
-  // through one walker and one tile kernel (stream_decode.cpp).
+  // The format-v3 writer (stream_v3.cpp): compressBatch() branches here
+  // when Config::pipeline != Legacy. Every generation decodes through one
+  // walker and one tile kernel (stream_decode.cpp).
   template <FloatingPoint T>
   Compressed compressV3(std::span<const T> data);
 
-  /// Runs a kernel under the detect-and-retry policy: relaunches up to
-  /// Config::faultRetries times while `verify` reports corrupt output or
-  /// the launch aborts; `rearm` reinitializes scan state between attempts.
-  gpusim::LaunchResult launchVerified(
-      const gpusim::KernelDesc& desc, std::span<std::byte> faultTarget,
-      const std::function<bool()>& verify,
-      const std::function<void()>& rearm);
+  /// The one detect-and-retry loop (Config::faultRetries). Launches the
+  /// kernels with a nonempty grid as one fused batch; afterwards only the
+  /// kernels whose `intact(i)` reports corrupt written output relaunch —
+  /// every kernel of the launch when it aborted — each after `rearm(i)`
+  /// resets its scan state, and each at most faultRetries times. Without
+  /// a budget the first launch's result or error stands.
+  std::vector<gpusim::LaunchResult> launchRetrying(
+      std::span<const gpusim::KernelDesc> kernels,
+      const std::function<bool(usize)>& intact,
+      const std::function<void(usize)>& rearm);
+
+  /// The strict decode behind decompress and decompressBatchRaw: parses
+  /// and validates every stream (errors name `api`), then decodes them
+  /// all in one launchRetrying set. A stream whose precision is not
+  /// `precision` (when given) is rejected right after its header parses.
+  /// `output(i, header)` is called once stream i has validated and
+  /// returns its zero-filled output of header.numElements elements.
+  /// Returns each stream's profile.
+  std::vector<KernelProfile> decodeStrict(
+      const char* api, std::span<const ConstByteSpan> streams,
+      std::optional<Precision> precision,
+      const std::function<std::byte*(usize, const StreamHeader&)>& output);
 
   /// Consumes a pending arena-exhaustion fault from the launcher's
   /// FaultPlan (clearing any budget left by a previous operation): when

@@ -12,7 +12,6 @@
 // the salvageable blocks. The generation is a template parameter of the
 // walk and the kernel, so their per-block loops carry no version switch.
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <type_traits>
 
@@ -364,8 +363,9 @@ struct TileOutput {
   u64 endBlock = 0;
   BlockVerdict* verdicts = nullptr;  ///< Salvage mode
   T fill{};                          ///< Salvage mode
-  /// Strict mode: data is already all T{} and no relaunch rewrites it, so
-  /// zero blocks are charged but not stored.
+  /// Strict mode: data is already all T{} and is no fault target, so no
+  /// launch or relaunch finds a zero block's elements changed; zero
+  /// blocks are charged but not stored.
   bool zeroFilled = false;
 };
 
@@ -515,28 +515,41 @@ gpusim::KernelDesc buildTileDecode(TileMode mode, const char* api,
   });
 }
 
-/// Serial-fallback copy: one typed decompress flattened to raw bytes.
-template <FloatingPoint T>
-void decompressSerialRaw(CompressorStream& self, ConstByteSpan stream,
-                         DecompressedRaw& out) {
-  Decompressed<T> d = self.decompress<T>(stream);
-  out.elements = d.data.size();
-  out.precision = precisionOf<T>();
-  out.profile = d.profile;
-  out.data.resize(d.data.size() * sizeof(T));
-  if (!d.data.empty()) {
-    std::memcpy(out.data.data(), d.data.data(), out.data.size());
-  }
-}
+/// Per-tile CRC-32 of a strict decode's written output: tile t covers
+/// output bytes [t * tileBytes, min(totalBytes, (t + 1) * tileBytes)).
+struct OutputDigest {
+  const std::byte* data = nullptr;
+  u64 tileBytes = 0;
+  u64 totalBytes = 0;
 
-/// Per-stream state of one member of a fused decompress batch. Everything
-/// the kernel body references by pointer must outlive the launch, so the
-/// jobs vector is sized once up front and never reallocated.
+  u32 operator()(u32 t) const {
+    const u64 first = static_cast<u64>(t) * tileBytes;
+    return crc32(ConstByteSpan(
+        data + first, std::min(totalBytes, first + tileBytes) - first));
+  }
+};
+
+/// Per-stream state of one member of a strict decode. Everything the
+/// kernel body references by pointer must outlive the launch, so the jobs
+/// vector is sized once up front and never reallocated.
 struct DecodeJob {
   StreamHeader header;
-  std::optional<TileSync> sync;
+  std::optional<HuffDecoder> decoder;
+  std::optional<TileSync> lookback;
   f64 checksumSeconds = 0.0;
-  gpusim::KernelDesc desc;
+  /// Fault verification (Config::faultRetries > 0, v1/v2): the digest
+  /// each tile takes of the output it just wrote (reading back its own
+  /// stores, before a soft error can land), re-derived by `digest` after
+  /// the launch.
+  std::span<u32> tileWriteCrc;
+  OutputDigest digest;
+
+  bool intact() const {
+    for (u32 t = 0; t < tileWriteCrc.size(); ++t) {
+      if (digest(t) != tileWriteCrc[t]) return false;
+    }
+    return true;
+  }
 };
 
 }  // namespace
@@ -570,94 +583,113 @@ void writeFooter(const StreamHeader& header, std::byte* stream,
 
 }  // namespace detail
 
-template <FloatingPoint T>
-Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
+std::vector<KernelProfile> CompressorStream::decodeStrict(
+    const char* api, std::span<const ConstByteSpan> streams,
+    std::optional<Precision> precision,
+    const std::function<std::byte*(usize, const StreamHeader&)>& output) {
   arena_.reset();
   applyInjectedArenaBudget();
-  const StreamHeader header = StreamHeader::parse(stream);
-  require(header.precision == precisionOf<T>(),
-          "decompress: stream precision does not match the requested type");
-  const bool v3 = isV3(header);
-  const u32 L = header.blockSize;
   const u32 bpt = config_.blocksPerTile;
-  const u64 n = header.numElements;
-  const u64 numBlocks = header.numBlocks();
+  std::vector<DecodeJob> jobs(streams.size());
+  std::vector<gpusim::KernelDesc> descs(streams.size());
+  for (usize i = 0; i < streams.size(); ++i) {
+    DecodeJob& job = jobs[i];
+    const ConstByteSpan stream = streams[i];
+    job.header = StreamHeader::parse(stream);
+    const StreamHeader& header = job.header;
+    if (precision && header.precision != *precision) {
+      throw Error(std::string(api) +
+                  ": stream precision does not match the requested type");
+    }
+    const bool v3 = isV3(header);
+    const u64 numBlocks = header.numBlocks();
 
-  f64 checksumSeconds = verifyChecksum("decompress", header, stream, timing_);
-  // Layout validation before any payload read: the prefix-summed payload
-  // sizes must stay inside the stream, and per-block digests must match
-  // (one extra bandwidth pass over the compressed bytes). An empty stream
-  // is frame-checked too.
-  const std::span<u64> blockStart =
-      v3 ? arena_.allocSpan<u64>(numBlocks) : std::span<u64>{};
-  validateLayout(header, stream,
-                 {.api = "decompress", .blockStart = blockStart});
-  if (header.hasBlockChecksums()) {
-    checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
-  }
+    job.checksumSeconds = verifyChecksum(api, header, stream, timing_);
+    // Layout validation before any payload read: the prefix-summed
+    // payload sizes must stay inside the stream, and per-block digests
+    // must match (one extra bandwidth pass over the compressed bytes). An
+    // empty stream is frame-checked too.
+    const std::span<u64> blockStart =
+        v3 ? arena_.allocSpan<u64>(numBlocks) : std::span<u64>{};
+    validateLayout(header, stream, {.api = api, .blockStart = blockStart});
+    if (header.hasBlockChecksums()) {
+      job.checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
+    }
+    std::byte* const data = output(i, header);
+    if (header.numElements == 0) continue;  // gridSize stays 0
+    job.decoder = loadDictionary(api, header, stream);
 
-  Decompressed<T> out;
-  outputAlloc(out.data, n, T{});
-  if (n == 0) {
-    out.profile.endToEndSeconds = timing_.launchSeconds();
-    noteDecompressed(stream.size(), 0, 0.0);
-    return out;
-  }
-  const std::optional<HuffDecoder> decoder =
-      loadDictionary("decompress", header, stream);
-
-  // Detect-and-retry (Config::faultRetries): every tile digests the output
-  // elements it just wrote (reading back its own stores, before a soft
-  // error can land) and the host re-derives the digests after the launch.
-  // A relaunch must rewrite every element, so only an unverified launch
-  // leaves zero blocks to the zero-filled output. The v3 kernels run
-  // without it, as on the write side.
-  const bool verified = config_.faultRetries > 0 && !v3;
-  const u32 tiles = tileCount(numBlocks, bpt);
-  std::optional<TileSync> lookback;
-  if (!v3) lookback.emplace(config_.syncAlgorithm, tiles, arena_);
-  gpusim::KernelDesc desc = buildTileDecode<T>(
-      TileMode::Strict, "decompress", header, stream, config_, timing_,
-      {lookback ? &*lookback : nullptr, blockStart.data()},
-      decoder ? &*decoder : nullptr,
-      {.data = out.data.data(), .zeroFilled = !verified});
-
-  gpusim::LaunchResult launch;
-  if (verified) {
-    const std::span<u32> tileWriteCrc = arena_.allocSpan<u32>(tiles);
-    const T* data = out.data.data();
-    const auto tileCrc = [=](u32 t) {
-      const u64 eFirst = static_cast<u64>(t) * bpt * L;
-      const u64 eLast = std::min<u64>(
-          n, std::min<u64>(numBlocks, static_cast<u64>(t) * bpt + bpt) * L);
-      return crc32(ConstByteSpan(reinterpret_cast<const std::byte*>(
-                                     data + eFirst),
-                                 (eLast - eFirst) * sizeof(T)));
-    };
-    desc.body = [decode = std::move(desc.body), tileWriteCrc,
-                 tileCrc](gpusim::BlockCtx& ctx) {
+    // A relaunch must rewrite every element, so only an unverified kernel
+    // leaves zero blocks to the zero-filled output. The v3 kernels run
+    // without write digests, as on the write side.
+    const bool verified = config_.faultRetries > 0 && !v3;
+    const u32 tiles = tileCount(numBlocks, bpt);
+    if (!v3) job.lookback.emplace(config_.syncAlgorithm, tiles, arena_);
+    const TileBase base{job.lookback ? &*job.lookback : nullptr,
+                        blockStart.data()};
+    const HuffDecoder* decoder = job.decoder ? &*job.decoder : nullptr;
+    gpusim::KernelDesc& desc = descs[i];
+    if (header.precision == Precision::F32) {
+      desc = buildTileDecode<f32>(
+          TileMode::Strict, api, header, stream, config_, timing_, base,
+          decoder,
+          {.data = reinterpret_cast<f32*>(data), .zeroFilled = !verified});
+    } else {
+      desc = buildTileDecode<f64>(
+          TileMode::Strict, api, header, stream, config_, timing_, base,
+          decoder,
+          {.data = reinterpret_cast<f64*>(data), .zeroFilled = !verified});
+    }
+    if (!verified) continue;
+    const u64 elemBytes = byteWidth(header.precision);
+    job.tileWriteCrc = arena_.allocSpan<u32>(tiles);
+    job.digest = {data, static_cast<u64>(bpt) * header.blockSize * elemBytes,
+                  header.numElements * elemBytes};
+    desc.faultTarget = {data, header.numElements * elemBytes};
+    desc.body = [decode = std::move(desc.body), crcs = job.tileWriteCrc,
+                 digest = job.digest](gpusim::BlockCtx& ctx) {
       decode(ctx);
-      tileWriteCrc[ctx.blockIdx] = tileCrc(ctx.blockIdx);
+      crcs[ctx.blockIdx] = digest(ctx.blockIdx);
     };
-    const auto verify = [&] {
-      for (u32 t = 0; t < tiles; ++t) {
-        if (tileCrc(t) != tileWriteCrc[t]) return false;
-      }
-      return true;
-    };
-    launch = launchVerified(
-        desc,
-        {reinterpret_cast<std::byte*>(out.data.data()), n * sizeof(T)},
-        verify,
-        [&] { lookback.emplace(config_.syncAlgorithm, tiles, arena_); });
-  } else {
-    launch = launcher_.launch(desc.gridSize, desc.body, desc.blocksPerTask,
-                              {}, desc.name);
   }
 
-  out.profile =
-      makeProfile(launch, timing_, header.originalBytes(), checksumSeconds);
-  noteDecompressed(stream.size(), n * sizeof(T), out.profile.endToEndGBps);
+  const std::vector<gpusim::LaunchResult> launches = launchRetrying(
+      descs, [&](usize i) { return jobs[i].intact(); },
+      [&](usize i) {
+        if (jobs[i].lookback) {
+          jobs[i].lookback.emplace(
+              config_.syncAlgorithm,
+              tileCount(jobs[i].header.numBlocks(), bpt), arena_);
+        }
+      });
+
+  std::vector<KernelProfile> profiles(streams.size());
+  for (usize i = 0; i < streams.size(); ++i) {
+    const StreamHeader& header = jobs[i].header;
+    if (descs[i].gridSize == 0) {
+      profiles[i].endToEndSeconds = timing_.launchSeconds();
+      noteDecompressed(streams[i].size(), 0, 0.0);
+      continue;
+    }
+    profiles[i] = makeProfile(launches[i], timing_, header.originalBytes(),
+                              jobs[i].checksumSeconds);
+    noteDecompressed(streams[i].size(),
+                     header.numElements * byteWidth(header.precision),
+                     profiles[i].endToEndGBps);
+  }
+  return profiles;
+}
+
+template <FloatingPoint T>
+Decompressed<T> CompressorStream::decompress(ConstByteSpan stream) {
+  Decompressed<T> out;
+  out.profile = decodeStrict("decompress", {&stream, 1}, precisionOf<T>(),
+                             [&](usize, const StreamHeader& header) {
+                               outputAlloc(out.data, header.numElements, T{});
+                               return reinterpret_cast<std::byte*>(
+                                   out.data.data());
+                             })
+                    .front();
   return out;
 }
 
@@ -665,95 +697,17 @@ std::vector<DecompressedRaw> CompressorStream::decompressBatchRaw(
     std::span<const ConstByteSpan> streams) {
   std::vector<DecompressedRaw> out(streams.size());
   if (streams.empty()) return out;
-
-  // Per-stream write-digest verification cannot isolate one member of a
-  // fused launch, so fault-injection configurations keep the serial
-  // detect-and-retry semantics of decompress(). Version-3 streams also
-  // decode one launch per stream: folding them into the fused launch
-  // would change a mixed batch's launch count.
-  bool anyV3 = false;
-  for (const ConstByteSpan s : streams) {
-    if (isV3(StreamHeader::parse(s))) {
-      anyV3 = true;
-      break;
-    }
-  }
-  if (config_.faultRetries > 0 || anyV3) {
-    for (usize i = 0; i < streams.size(); ++i) {
-      const StreamHeader header = StreamHeader::parse(streams[i]);
-      if (header.precision == Precision::F32) {
-        decompressSerialRaw<f32>(*this, streams[i], out[i]);
-      } else {
-        decompressSerialRaw<f64>(*this, streams[i], out[i]);
-      }
-    }
-    return out;
-  }
-
-  arena_.reset();
-  applyInjectedArenaBudget();
-
-  std::vector<DecodeJob> jobs(streams.size());
-  for (usize i = 0; i < streams.size(); ++i) {
-    DecodeJob& job = jobs[i];
-    const ConstByteSpan stream = streams[i];
-    job.header = StreamHeader::parse(stream);
-    job.checksumSeconds =
-        verifyChecksum("decompressBatch", job.header, stream, timing_);
-    validateLayout(job.header, stream,
-                   {.api = "decompressBatch", .blockStart = {}});
-    if (job.header.hasBlockChecksums()) {
-      job.checksumSeconds += bandwidthPassSeconds(timing_, stream.size());
-    }
-
-    const u64 n = job.header.numElements;
-    const usize elemBytes = byteWidth(job.header.precision);
-    out[i].precision = job.header.precision;
-    out[i].elements = n;
-    outputAlloc(out[i].data, n * elemBytes, std::byte{});
-    if (n == 0) {
-      job.desc.gridSize = 0;
-      out[i].profile.endToEndSeconds = timing_.launchSeconds();
-      continue;
-    }
-
-    job.sync.emplace(config_.syncAlgorithm,
-                     tileCount(job.header.numBlocks(), config_.blocksPerTile),
-                     arena_);
-    // The fused launch never relaunches (fault retries take the serial
-    // path above), so zero blocks are left to the zero-filled outputs.
-    const TileBase base{&*job.sync, nullptr};
-    if (job.header.precision == Precision::F32) {
-      job.desc = buildTileDecode<f32>(
-          TileMode::Strict, "decompressBatch", job.header, stream, config_,
-          timing_, base, nullptr,
-          {.data = reinterpret_cast<f32*>(out[i].data.data()),
-           .zeroFilled = true});
-    } else {
-      job.desc = buildTileDecode<f64>(
-          TileMode::Strict, "decompressBatch", job.header, stream, config_,
-          timing_, base, nullptr,
-          {.data = reinterpret_cast<f64*>(out[i].data.data()),
-           .zeroFilled = true});
-    }
-  }
-
-  std::vector<gpusim::KernelDesc> descs;
-  descs.reserve(jobs.size());
-  for (DecodeJob& job : jobs) descs.push_back(std::move(job.desc));
-  auto launches = launcher_.launchBatch(descs);
-
-  for (usize i = 0; i < jobs.size(); ++i) {
-    if (descs[i].gridSize == 0) {
-      noteDecompressed(streams[i].size(), 0, 0.0);
-      continue;
-    }
-    out[i].profile = makeProfile(launches[i], timing_,
-                                 jobs[i].header.originalBytes(),
-                                 jobs[i].checksumSeconds);
-    noteDecompressed(streams[i].size(), out[i].data.size(),
-                     out[i].profile.endToEndGBps);
-  }
+  const std::vector<KernelProfile> profiles = decodeStrict(
+      "decompressBatch", streams, std::nullopt,
+      [&](usize i, const StreamHeader& header) {
+        out[i].elements = header.numElements;
+        out[i].precision = header.precision;
+        outputAlloc(out[i].data,
+                    header.numElements * byteWidth(header.precision),
+                    std::byte{});
+        return out[i].data.data();
+      });
+  for (usize i = 0; i < out.size(); ++i) out[i].profile = profiles[i];
   return out;
 }
 

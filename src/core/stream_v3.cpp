@@ -16,8 +16,10 @@
 // Because block positions are prefix-summed on the host, neither kernel
 // needs inter-tile synchronization, and decompression positions blocks
 // from the descriptor array alone. Version-3 streams always carry the
-// per-block CRC footer. The detect-and-retry machinery of the legacy path
-// (Config::faultRetries) does not apply to the v3 kernels, on either side.
+// per-block CRC footer. The v3 kernels take no write digests, so the
+// detect-and-retry loop (Config::faultRetries) never relaunches these two;
+// a v3 decode joins the fused strict-decode launch and relaunches only
+// when that launch aborts.
 #include <algorithm>
 #include <vector>
 

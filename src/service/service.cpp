@@ -639,21 +639,13 @@ template <FloatingPoint T>
 void CompressionService::runCompress(
     std::vector<std::shared_ptr<detail::Job>>& batch,
     core::CompressorStream& stream, std::vector<JobResult>& results) {
-  auto fieldOf = [](const detail::Job& job) {
-    return std::span<const T>(
-        reinterpret_cast<const T*>(job.input.data()),
-        job.input.size() / sizeof(T));
-  };
-  if (batch.size() == 1) {
-    results[0].compressed = stream.compress<T>(fieldOf(*batch[0]));
-    results[0].ok = true;
-    results[0].outcome = Outcome::Completed;
-    return;
-  }
+  // A solo job is a batch of one: compressBatch runs it exactly as
+  // compress would.
   std::vector<std::span<const T>> fields;
   fields.reserve(batch.size());
   for (const std::shared_ptr<detail::Job>& job : batch) {
-    fields.push_back(fieldOf(*job));
+    fields.emplace_back(reinterpret_cast<const T*>(job->input.data()),
+                        job->input.size() / sizeof(T));
   }
   std::vector<core::Compressed> outs = stream.compressBatch<T>(fields);
   for (usize i = 0; i < batch.size(); ++i) {
@@ -673,37 +665,10 @@ template void CompressionService::runCompress<f64>(
 void CompressionService::runDecompress(
     std::vector<std::shared_ptr<detail::Job>>& batch,
     core::CompressorStream& stream, std::vector<JobResult>& results) {
-  if (batch.size() == 1) {
-    detail::Job& job = *batch[0];
-    JobResult& result = results[0];
-    const core::StreamHeader header = core::StreamHeader::parse(job.input);
-    if (header.precision == Precision::F32) {
-      core::Decompressed<f32> out = stream.decompress<f32>(job.input);
-      result.decodedElements = out.data.size();
-      result.decompressProfile = out.profile;
-      result.decompressed.resize(out.data.size() * sizeof(f32));
-      if (!out.data.empty()) {
-        std::memcpy(result.decompressed.data(), out.data.data(),
-                    result.decompressed.size());
-      }
-    } else {
-      core::Decompressed<f64> out = stream.decompress<f64>(job.input);
-      result.decodedElements = out.data.size();
-      result.decompressProfile = out.profile;
-      result.decompressed.resize(out.data.size() * sizeof(f64));
-      if (!out.data.empty()) {
-        std::memcpy(result.decompressed.data(), out.data.data(),
-                    result.decompressed.size());
-      }
-    }
-    result.ok = true;
-    result.outcome = Outcome::Completed;
-    return;
-  }
-
-  // Fused decode: one launch for the whole batch. A corrupt member throws
-  // before any kernel runs; execute()'s batch-split path then requeues
-  // every member solo, preserving fault isolation.
+  // Fused decode: one launch for the whole batch (a solo job is a batch
+  // of one), and the decoded bytes move into the results. A corrupt
+  // member throws before any kernel runs; execute()'s batch-split path
+  // then requeues every member solo, preserving fault isolation.
   std::vector<ConstByteSpan> streams;
   streams.reserve(batch.size());
   for (const std::shared_ptr<detail::Job>& job : batch) {

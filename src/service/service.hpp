@@ -6,11 +6,12 @@
 // with a tenant id and receive an async Ticket; a lock-guarded scheduler
 // with one FIFO lane per tenant picks the next job by priority then
 // round-robin (no tenant can starve another at equal priority), and a
-// batching pass coalesces small compatible compress jobs — same Config,
-// same precision — into a single fused compressBatch launch, which the
-// kernel telemetry table accounts as ONE launch (the amortization the
-// service exists to win). Output bytes per job are identical to a serial
-// CompressorStream call with the same Config.
+// batching pass coalesces compatible jobs — same kind, same Config, same
+// precision — into a single fused compressBatch or decompressBatchRaw
+// launch, which the kernel telemetry table accounts as ONE launch (the
+// amortization the service exists to win). A solo job runs as a batch of
+// one. Output bytes per job are identical to a serial CompressorStream
+// call with the same Config.
 //
 // Admission control sheds load instead of blocking: submissions beyond
 // ServiceConfig::maxQueueDepth admitted-but-unfinished jobs, beyond a

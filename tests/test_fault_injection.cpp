@@ -8,6 +8,8 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -352,47 +354,126 @@ TEST(FaultPlan, CompressRetryReproducesStream) {
   EXPECT_EQ(d.data.size(), fx.data.size());
 }
 
-// Aborted-kernel fault mode: the grid throws on the trigger launch; the
-// retry policy treats it like a detected fault and relaunches.
-TEST(FaultPlan, AbortedLaunchIsRetried) {
-  RetryFixture fx;
-  const auto c = fx.stream.compress<f32>(fx.data);
-  const auto clean = fx.stream.decompress<f32>(c.stream);
+// The retrying entry points, each run over `members` copies of one field
+// (compress side) or of its stream (decode side). Every one goes through
+// the same detect-and-retry loop, so each must show the same budget.
+enum class Entry { Compress, CompressBatch, Decompress, DecompressBatchRaw };
 
-  gpusim::FaultPlan plan;
-  plan.abortBlock = 0;
-  fx.armNext(plan);
-  const auto retried = fx.stream.decompress<f32>(c.stream);
-  fx.stream.launcher().clearFaultPlan();
+struct EntryCase {
+  const char* name;
+  Entry entry;
+  usize members;
+};
 
-  EXPECT_EQ(retried.data, clean.data);
-  EXPECT_EQ(fx.stream.faultsDetected(), 1u);
-  EXPECT_EQ(fx.stream.faultRelaunches(), 1u);
+constexpr EntryCase kEntryCases[] = {
+    {"compress", Entry::Compress, 1},
+    {"compressBatch/1", Entry::CompressBatch, 1},
+    {"compressBatch/2", Entry::CompressBatch, 2},
+    {"decompress", Entry::Decompress, 1},
+    {"decompressBatchRaw/1", Entry::DecompressBatchRaw, 1},
+    {"decompressBatchRaw/2", Entry::DecompressBatchRaw, 2},
+};
+
+/// Runs `ec` and returns each member's output bytes.
+std::vector<std::vector<std::byte>> runEntry(core::CompressorStream& stream,
+                                             const EntryCase& ec,
+                                             const std::vector<f32>& data,
+                                             ConstByteSpan compressed) {
+  std::vector<std::vector<std::byte>> out;
+  switch (ec.entry) {
+    case Entry::Compress:
+      out.push_back(stream.compress<f32>(data).stream);
+      break;
+    case Entry::CompressBatch: {
+      const std::vector<std::span<const f32>> fields(ec.members, data);
+      for (auto& c : stream.compressBatch<f32>(fields)) {
+        out.push_back(std::move(c.stream));
+      }
+      break;
+    }
+    case Entry::Decompress: {
+      const auto d = stream.decompress<f32>(compressed);
+      const auto* p = reinterpret_cast<const std::byte*>(d.data.data());
+      out.emplace_back(p, p + d.data.size() * sizeof(f32));
+      break;
+    }
+    case Entry::DecompressBatchRaw: {
+      const std::vector<ConstByteSpan> streams(ec.members, compressed);
+      for (auto& d : stream.decompressBatchRaw(streams)) {
+        out.push_back(std::move(d.data));
+      }
+      break;
+    }
+  }
+  return out;
 }
 
-// Sticky faults outlast the retry budget: the Error must propagate and the
-// counters must show every attempt was made.
+// Aborted-kernel fault mode: the grid throws on the trigger launch; the
+// retry policy treats it like a detected fault and relaunches. An abort
+// takes the whole fused launch down, so every member relaunches once.
+TEST(FaultPlan, AbortedLaunchIsRetried) {
+  for (const EntryCase& ec : kEntryCases) {
+    SCOPED_TRACE(ec.name);
+    RetryFixture fx;
+    const auto c = fx.stream.compress<f32>(fx.data);
+    const auto clean = runEntry(fx.stream, ec, fx.data, c.stream);
+    const u64 detected = fx.stream.faultsDetected();
+    const u64 relaunches = fx.stream.faultRelaunches();
+    ASSERT_EQ(detected, 0u);
+
+    gpusim::FaultPlan plan;
+    plan.abortBlock = 0;
+    fx.armNext(plan);
+    const u64 before = fx.stream.launcher().launchCount();
+    const auto retried = runEntry(fx.stream, ec, fx.data, c.stream);
+    const u64 launches = fx.stream.launcher().launchCount() - before;
+    fx.stream.launcher().clearFaultPlan();
+
+    EXPECT_EQ(retried, clean);
+    EXPECT_EQ(launches, 2 * ec.members);
+    EXPECT_EQ(fx.stream.faultsDetected() - detected, ec.members);
+    EXPECT_EQ(fx.stream.faultRelaunches() - relaunches, ec.members);
+  }
+}
+
+// Sticky faults outlast the retry budget: the Error must propagate, and
+// the counters must show every member got exactly faultRetries relaunches
+// — whether the fault aborts the launch or corrupts what it wrote.
 TEST(FaultPlan, StickyFaultExhaustsRetryBudget) {
   core::Config cfg = RetryFixture::makeConfig();
   cfg.faultRetries = 1;
-  core::CompressorStream stream(cfg);
-  const auto data = datagen::generateF32("scale", 2, 1 << 12);
-  const auto c = stream.compress<f32>(data);
+  const auto data = datagen::generateF32("scale", 2, 1 << 14);
+  gpusim::FaultPlan abort;
+  abort.abortBlock = 0;  // aborts are detected on every attempt
+  gpusim::FaultPlan flips;
+  flips.seed = 7;
+  flips.bitFlips = 256;  // corrupts used bytes of every attempt
+  for (const EntryCase& ec : kEntryCases) {
+    for (gpusim::FaultPlan plan : {abort, flips}) {
+      SCOPED_TRACE(std::string(ec.name) +
+                   (plan.bitFlips > 0 ? " bit flips" : " abort"));
+      core::CompressorStream stream(cfg);
+      const auto c = stream.compress<f32>(data);
+      const auto clean = runEntry(stream, ec, data, c.stream);
+      ASSERT_EQ(stream.faultsDetected(), 0u);
 
-  gpusim::FaultPlan plan;
-  plan.abortBlock = 0;  // aborts are detected on every attempt
-  plan.sticky = true;
-  plan.triggerLaunch = stream.launcher().launchCount();
-  stream.launcher().setFaultPlan(plan);
-  EXPECT_THROW((void)stream.decompress<f32>(c.stream), Error);
-  stream.launcher().clearFaultPlan();
+      plan.sticky = true;
+      plan.triggerLaunch = stream.launcher().launchCount();
+      stream.launcher().setFaultPlan(plan);
+      EXPECT_THROW((void)runEntry(stream, ec, data, c.stream), Error);
+      const u64 launches = stream.launcher().launchCount() - plan.triggerLaunch;
+      stream.launcher().clearFaultPlan();
 
-  EXPECT_EQ(stream.faultsDetected(), 2u);  // initial try + 1 retry
-  EXPECT_EQ(stream.faultRelaunches(), 1u);
+      const u64 attempts = cfg.faultRetries + 1;
+      EXPECT_EQ(launches, ec.members * attempts);
+      EXPECT_EQ(stream.faultsDetected(), ec.members * attempts);
+      EXPECT_EQ(stream.faultRelaunches(), ec.members * cfg.faultRetries);
 
-  // The stream stays usable once the plan is disarmed.
-  const auto d = stream.decompress<f32>(c.stream);
-  EXPECT_EQ(d.data.size(), data.size());
+      // The stream stays usable once the plan is disarmed: every member
+      // comes out byte-identical to the clean run before the fault.
+      EXPECT_EQ(runEntry(stream, ec, data, c.stream), clean);
+    }
+  }
 }
 
 // With no retry budget there is no verification pass and no fault target:
@@ -477,6 +558,22 @@ TEST(FaultPlan, ArenaExhaustionFailsOnceThenRecovers) {
   const auto retried = fx.stream.compress<f32>(fx.data);
   fx.stream.launcher().clearFaultPlan();
   EXPECT_EQ(retried.stream, reference.stream);
+}
+
+// A strict decode that rejects its stream (here: the wrong precision)
+// still consumes a pending arena-exhaustion fault, as every fallible
+// operation does, so the next operation runs clean.
+TEST(FaultPlan, RejectedDecodeConsumesArenaFault) {
+  RetryFixture fx;
+  const auto c = fx.stream.compress<f32>(fx.data);
+
+  gpusim::FaultPlan plan;
+  plan.arenaBudgetBytes = 256;
+  fx.armNext(plan);
+  EXPECT_THROW((void)fx.stream.decompress<f64>(c.stream), Error);
+  const auto again = fx.stream.compress<f32>(fx.data);
+  fx.stream.launcher().clearFaultPlan();
+  EXPECT_EQ(again.stream, c.stream);
 }
 
 // Sticky arena exhaustion keeps refusing until the plan is cleared.

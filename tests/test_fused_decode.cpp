@@ -10,8 +10,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,6 +23,7 @@
 #include "core/quantizer.hpp"
 #include "core/stream.hpp"
 #include "gpusim/launcher.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace cuszp2::core {
 namespace {
@@ -330,6 +333,64 @@ TEST(FusedDecode, RelaunchRewritesZeroBlocks) {
   EXPECT_TRUE(sameBytes(retried.data, clean.data));
   EXPECT_EQ(codec.faultsDetected(), 1u);
   EXPECT_EQ(codec.faultRelaunches(), 1u);
+}
+
+// Every format generation joins one fused strict decode, also under a
+// fault-retry budget with no fault armed: the kernel table counts one
+// launch per distinct kernel name, and each member's bytes match its own
+// decompress in both SIMD modes.
+TEST(FusedDecode, BatchFusesEveryGenerationUnderRetryBudget) {
+  ModeGuard guard;
+  const std::vector<f32> data = mixedField<f32>(20000 + 13);
+  Config v1;
+  v1.absErrorBound = 1e-3;
+  Config v2 = v1;
+  v2.blockChecksums = true;
+  v2.checksum = true;
+  Config v3 = v1;
+  v3.pipeline = PipelineMode::Auto;
+  v3.checksum = true;
+  std::vector<std::vector<std::byte>> streams;
+  std::vector<ConstByteSpan> spans;
+  for (const Config& cfg : {v1, v2, v3}) {
+    streams.push_back(CompressorStream(cfg).compress<f32>(data).stream);
+  }
+  for (const auto& s : streams) spans.emplace_back(s);
+
+  Config retry = v1;
+  retry.faultRetries = 2;
+  CompressorStream codec(retry);
+  telemetry::MetricsRegistry& reg = telemetry::registry();
+  std::vector<std::byte> perMode[2];
+  for (const simd::Mode mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+    simd::setMode(mode);
+    reg.setEnabled(true);
+    reg.reset();
+    const auto batch = codec.decompressBatchRaw(spans);
+    std::map<std::string, u64> launches;
+    for (const auto& row : reg.snapshotKernels()) {
+      if (row.launches > 0) launches[row.name] = row.launches;
+    }
+    reg.setEnabled(false);
+    EXPECT_EQ(launches, (std::map<std::string, u64>{{"decompress", 1},
+                                                    {"v3_decompress", 1}}))
+        << "mode " << static_cast<int>(mode);
+
+    ASSERT_EQ(batch.size(), streams.size());
+    std::vector<std::byte>& all = perMode[mode == simd::Mode::Native];
+    for (usize i = 0; i < streams.size(); ++i) {
+      const auto single = codec.decompress<f32>(streams[i]);
+      ASSERT_EQ(batch[i].data.size(), single.data.size() * sizeof(f32));
+      EXPECT_EQ(std::memcmp(batch[i].data.data(), single.data.data(),
+                            batch[i].data.size()),
+                0)
+          << "stream " << i << " mode " << static_cast<int>(mode);
+      all.insert(all.end(), batch[i].data.begin(), batch[i].data.end());
+    }
+  }
+  reg.reset();
+  EXPECT_EQ(perMode[0], perMode[1]);
+  EXPECT_EQ(codec.faultsDetected(), 0u);
 }
 
 }  // namespace

@@ -85,11 +85,14 @@ CUSZP2_SIMD=scalar \
 
 # The pass above never enters a vector kernel. Run the suites that drive
 # them (bit-plane pack/unpack, scans, Lorenzo-2D, Huffman sizing and
-# decode, the golden fixtures) under the sanitizers with the native path
-# on, halting on the first UBSan report instead of printing and going on.
+# decode, the golden fixtures, fused-launch relaunches into rearmed
+# outputs, the large-output decode paths) under the sanitizers with the
+# native path on, halting on the first UBSan report instead of printing
+# and going on.
 echo "==== [asan] SIMD kernel suites, CUSZP2_SIMD=native ===="
 for t in test_simd test_fle test_block_codec test_pipeline \
-         test_format_golden test_fused_decode; do
+         test_format_golden test_fused_decode test_fault_injection \
+         test_output_alloc; do
   (cd "${repo_root}/build-ci-asan" &&
     CUSZP2_SIMD=native UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
       "./tests/${t}")

@@ -6,18 +6,31 @@
 // (per-block checksum footer). They pin the byte layout documented in
 // docs/FORMAT.md: any change to the writer or the header packing that
 // alters the wire format fails here and must come with a format-version
-// bump and a FORMAT.md update.
+// bump and a FORMAT.md update. The containers around the stream
+// (archive, segmented, ND, CAS store file and journal, job journal
+// records) are pinned the same way further down.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cas/block_store.hpp"
 #include "common/bits.hpp"
+#include "common/crc32.hpp"
+#include "core/lorenzo_nd.hpp"
 #include "core/pipeline.hpp"
+#include "core/segmented.hpp"
 #include "core/stream.hpp"
+#include "io/archive.hpp"
+#include "io/journal.hpp"
+#include "io/raw.hpp"
+#include "service/durability.hpp"
 
 namespace cuszp2 {
 namespace {
@@ -309,6 +322,297 @@ TEST(FormatGolden, WriterStillProducesTheFixtureBytes) {
   EXPECT_EQ(c2.stream, fromHex(kGoldenV2))
       << "v2 wire format changed — bump the format version and update "
          "docs/FORMAT.md before touching this fixture";
+}
+
+
+// ---- container pins ------------------------------------------------------
+//
+// Every container around the stream stores its integers little-endian
+// (docs/FORMAT.md, docs/CAS.md, docs/DURABILITY.md). A round-trip test
+// passes even when a writer and its reader drift together, so each
+// container is pinned byte for byte here: in full hex up to 128 bytes,
+// otherwise as its length and CRC-32. The truncation sweep below then feeds
+// every proper prefix of each pinned container to its parser.
+
+std::string toHex(ConstByteSpan bytes) {
+  std::string out;
+  char buf[3];
+  for (const std::byte b : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", std::to_integer<unsigned>(b));
+    out += buf;
+  }
+  return out;
+}
+
+void expectPinned(const std::vector<std::byte>& got, const char* hex,
+                  const char* what) {
+  EXPECT_EQ(toHex(got), hex)
+      << what << ": on-disk bytes changed — update the format docs and "
+                 "this pin together";
+}
+
+void expectPinned(const std::vector<std::byte>& got, usize bytes, u32 crc,
+                  const char* what) {
+  EXPECT_EQ(got.size(), bytes) << what;
+  EXPECT_EQ(crc32(ConstByteSpan(got)), crc)
+      << what << ": on-disk bytes changed — update the format docs and "
+                 "this pin together";
+}
+
+/// Unique scratch directory; removed by the guard.
+struct TempDir {
+  std::string path;
+  explicit TempDir(const std::string& stem)
+      : path((std::filesystem::temp_directory_path() /
+              (stem + "-" + std::to_string(::getpid()) + "-" +
+               std::to_string(counter++)))
+                 .string()) {
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string file(const std::string& name) const { return path + "/" + name; }
+  static inline int counter = 0;
+};
+
+std::vector<std::byte> bytePattern(usize n, u8 salt) {
+  std::vector<std::byte> v(n);
+  for (usize i = 0; i < n; ++i) {
+    v[i] = static_cast<std::byte>((i * 37 + salt) & 0xFFu);
+  }
+  return v;
+}
+
+/// Two fields (the v1 and v2 golden streams) sealed with a parity trailer.
+std::vector<std::byte> pinnedArchiveBody() {
+  io::ArchiveWriter writer;
+  writer.addField("v1", fromHex(kGoldenV1));
+  writer.addField("v2", fromHex(kGoldenV2));
+  return writer.finalize();
+}
+
+std::vector<std::byte> pinnedArchive() {
+  io::ArchiveWriter writer;
+  writer.addField("v1", fromHex(kGoldenV1));
+  writer.addField("v2", fromHex(kGoldenV2));
+  return writer.finalize(io::ParityOptions{.chunkBytes = 32, .groupSize = 3});
+}
+
+/// The 40 golden values in segments of 32: one full segment and one of 8.
+std::vector<std::byte> pinnedSegmented() {
+  core::SegmentedCompressor<f32> seg(core::Config{.absErrorBound = 0.01}, 32);
+  const auto input = goldenInput();
+  seg.append(std::span<const f32>(input));
+  return seg.finish();
+}
+
+/// A 16 x 8 ramp through the 2-D Lorenzo compressor.
+std::vector<std::byte> pinnedNd() {
+  core::NdCompressor nd(core::NdConfig{.absErrorBound = 0.01,
+                                       .dims = core::LorenzoDims::D2});
+  std::vector<f32> field(16 * 8);
+  for (usize y = 0; y < 8; ++y) {
+    for (usize x = 0; x < 16; ++x) {
+      field[y * 16 + x] = static_cast<f32>(x) * 0.25f + static_cast<f32>(y);
+    }
+  }
+  return nd.compress<f32>(std::span<const f32>(field), core::Dims3{16, 8, 1})
+      .stream;
+}
+
+cas::StoreConfig pinnedStoreConfig() {
+  return cas::StoreConfig{.chunkBytes = 16};
+}
+
+/// Two objects sharing their first chunk, saved without parity.
+std::vector<std::byte> pinnedStoreFile(const TempDir& dir) {
+  cas::BlockStore store(pinnedStoreConfig());
+  const auto a = bytePattern(40, 1);
+  auto b = bytePattern(24, 1);
+  b[20] = std::byte{0xEE};
+  store.put("t", "a", ConstByteSpan(a));
+  store.put("u", "b", ConstByteSpan(b));
+  const std::string path = dir.file("store.czp2");
+  store.save(path);
+  return io::readBytes(path);
+}
+
+/// The journal after put, put, erase, gc and a compaction commit.
+std::vector<std::byte> pinnedJournal(const TempDir& dir) {
+  const std::string path = dir.file("store.jnl");
+  cas::BlockStore store(pinnedStoreConfig());
+  store.attachJournal(path);
+  store.put("t", "a", ConstByteSpan(bytePattern(20, 2)));
+  store.put("t", "b", ConstByteSpan(bytePattern(8, 3)));
+  EXPECT_TRUE(store.erase("t", "b"));
+  store.gc();
+  const auto objects = store.objects("t");
+  EXPECT_EQ(objects.size(), 1u);
+  EXPECT_TRUE(store.commitCompaction("t", "a",
+                                     ConstByteSpan(bytePattern(12, 4)),
+                                     objects.at(0).generation));
+  return io::readBytes(path);
+}
+
+service::JobAcceptRecord pinnedAcceptRecord() {
+  service::JobAcceptRecord rec;
+  rec.jobId = 0x0102030405060708ull;
+  rec.supersedesId = 3;
+  rec.tenant = "t0";
+  rec.kind = service::JobKind::Decompress;
+  rec.precision = Precision::F64;
+  rec.priority = 2;
+  rec.config.absErrorBound = 0.01;
+  rec.config.blockSize = 64;
+  rec.config.checksum = true;
+  rec.config.faultRetries = 2;
+  rec.config.pipeline = core::PipelineMode::Auto;
+  rec.input = bytePattern(6, 5);
+  return rec;
+}
+
+TEST(ContainerGolden, ArchiveWithParityTrailer) {
+  expectPinned(pinnedArchive(), 408, 3513027844u, "io::ArchiveWriter + parity");
+}
+
+TEST(ContainerGolden, SegmentedContainer) {
+  expectPinned(pinnedSegmented(), 172, 3211977940u, "SegmentedCompressor<f32>");
+}
+
+TEST(ContainerGolden, NdStream) {
+  expectPinned(pinnedNd(), 179, 412880316u, "NdCompressor 2-D");
+}
+
+TEST(ContainerGolden, BlockStoreFile) {
+  TempDir dir("golden-store");
+  expectPinned(pinnedStoreFile(dir), 405, 2522225244u, "BlockStore::save");
+}
+
+TEST(ContainerGolden, BlockStoreJournal) {
+  TempDir dir("golden-journal");
+  expectPinned(pinnedJournal(dir), 256, 4233489165u, "BlockStore journal");
+}
+
+TEST(ContainerGolden, JobJournalRecords) {
+  expectPinned(service::encodeJobAccept(pinnedAcceptRecord()),
+               "08070605040302010300000000000000020000007430010102fca9f1d2"
+               "4d62503f7b14ae47e17a843f0140000000800000000101010002000000"
+               "0000010600000000000000052a4f7499be",
+               "encodeJobAccept");
+  expectPinned(service::encodeJobResolve(0x0102030405060708ull,
+                                         service::Outcome::Degraded),
+               "080706050403020104", "encodeJobResolve");
+}
+
+/// An exactly-sized heap copy of bytes [0, n): a parser that reads past
+/// the prefix leaves the allocation, where the address sanitizer sees it.
+std::vector<std::byte> prefix(const std::vector<std::byte>& full, usize n) {
+  return std::vector<std::byte>(full.begin(),
+                                full.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+TEST(ContainerTruncation, ArchivePrefixesThrowOrLoseTheTrailer) {
+  const auto full = pinnedArchive();
+  const usize body = pinnedArchiveBody().size();
+  ASSERT_LT(body, full.size());
+  ASSERT_TRUE(io::verifyParity(full).trailerOk);
+  for (usize n = 0; n < full.size(); ++n) {
+    const auto cut = prefix(full, n);
+    if (n < body) {
+      // The table of contents promises bytes the prefix lacks.
+      EXPECT_THROW(io::ArchiveReader{ConstByteSpan(cut)}, Error) << n;
+    } else {
+      // The fields are whole; only the parity trailer is cut short, and
+      // it must not verify.
+      EXPECT_EQ(io::ArchiveReader(cut).fieldNames().size(), 2u) << n;
+      EXPECT_FALSE(io::verifyParity(cut).trailerOk) << n;
+    }
+  }
+}
+
+TEST(ContainerTruncation, SegmentedPrefixesThrow) {
+  const auto full = pinnedSegmented();
+  ASSERT_EQ(core::SegmentedReader<f32>(full).segmentCount(), 2u);
+  for (usize n = 0; n < full.size(); ++n) {
+    const auto cut = prefix(full, n);
+    EXPECT_THROW(core::SegmentedReader<f32>{ConstByteSpan(cut)}, Error) << n;
+  }
+}
+
+TEST(ContainerTruncation, NdPrefixesThrow) {
+  const auto full = pinnedNd();
+  core::NdCompressor nd(core::NdConfig{.absErrorBound = 0.01,
+                                       .dims = core::LorenzoDims::D2});
+  ASSERT_EQ(nd.decompress<f32>(full).size(), 16u * 8u);
+  for (usize n = 0; n < full.size(); ++n) {
+    const auto cut = prefix(full, n);
+    EXPECT_THROW(nd.decompress<f32>(cut), Error) << n;
+  }
+}
+
+TEST(ContainerTruncation, BlockStoreFilePrefixesThrow) {
+  TempDir dir("trunc-store");
+  const auto full = pinnedStoreFile(dir);
+  const std::string path = dir.file("cut.czp2");
+  for (usize n = 0; n < full.size(); ++n) {
+    io::writeBytes(path, ConstByteSpan(full.data(), n));
+    EXPECT_THROW(cas::BlockStore::load(path, pinnedStoreConfig()), Error)
+        << n;
+  }
+}
+
+TEST(ContainerTruncation, JournalPrefixesReplayToTheLastWholeRecord) {
+  TempDir dir("trunc-journal");
+  const auto full = pinnedJournal(dir);
+  const std::string path = dir.file("cut.jnl");
+  io::writeBytes(path, ConstByteSpan(full));
+  const io::ReplayResult whole = io::replayJournal(path);
+  ASSERT_EQ(whole.records.size(), 5u);
+  ASSERT_FALSE(whole.torn);
+
+  // Record boundaries: header end, then after each whole record.
+  std::vector<usize> ends{io::kJournalHeaderBytes};
+  for (const io::JournalRecord& rec : whole.records) {
+    ends.push_back(ends.back() + io::kRecordFrameBytes + rec.payload.size());
+  }
+  ASSERT_EQ(ends.back(), full.size());
+
+  for (usize n = 0; n < full.size(); ++n) {
+    io::writeBytes(path, ConstByteSpan(full.data(), n));
+    if (n < io::kJournalHeaderBytes) {
+      EXPECT_THROW(io::replayJournal(path), Error) << n;
+      continue;
+    }
+    const io::ReplayResult r = io::replayJournal(path);
+    usize whole_records = 0;
+    while (whole_records + 1 < ends.size() && ends[whole_records + 1] <= n) {
+      ++whole_records;
+    }
+    EXPECT_EQ(r.records.size(), whole_records) << n;
+    EXPECT_EQ(r.validBytes, ends[whole_records]) << n;
+    EXPECT_EQ(r.torn, n != ends[whole_records]) << n;
+    EXPECT_EQ(r.discardedBytes, n - ends[whole_records]) << n;
+  }
+}
+
+TEST(ContainerTruncation, JobRecordPrefixesThrow) {
+  const auto accept = service::encodeJobAccept(pinnedAcceptRecord());
+  const auto decoded = service::decodeJobAccept(accept);
+  EXPECT_EQ(decoded.jobId, pinnedAcceptRecord().jobId);
+  EXPECT_EQ(decoded.input, pinnedAcceptRecord().input);
+  for (usize n = 0; n < accept.size(); ++n) {
+    const auto cut = prefix(accept, n);
+    EXPECT_THROW(service::decodeJobAccept(cut), Error) << n;
+  }
+  const auto resolve =
+      service::encodeJobResolve(9, service::Outcome::Completed);
+  EXPECT_EQ(service::decodeJobResolve(resolve).jobId, 9u);
+  for (usize n = 0; n < resolve.size(); ++n) {
+    const auto cut = prefix(resolve, n);
+    EXPECT_THROW(service::decodeJobResolve(cut), Error) << n;
+  }
 }
 
 }  // namespace

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/error.hpp"
+#include "common/bits.hpp"
 #include "common/crc32.hpp"
+#include "common/error.hpp"
 #include "core/format.hpp"
 
 namespace cuszp2::cas {
 
 namespace {
-
-// ---- index serialization helpers (little-endian, bounds-checked) ------
 
 constexpr u32 kIndexMagic = 0x31534143u;  // "CAS1"
 constexpr u32 kIndexVersion = 1;
@@ -27,67 +26,8 @@ constexpr u32 kRecGc = 3;       // tick
 constexpr u32 kRecCompact = 4;  // tick, tenant, name, size, bytes
 constexpr u32 kRecCorrupt = 5;  // tick, tenant, name, size, bytes
 
-void putU32(std::vector<std::byte>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void putU64(std::vector<std::byte>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void putString(std::vector<std::byte>& out, const std::string& s) {
-  putU32(out, static_cast<u32>(s.size()));
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out.insert(out.end(), p, p + s.size());
-}
-
-class Cursor {
- public:
-  explicit Cursor(ConstByteSpan bytes) : bytes_(bytes) {}
-
-  u32 takeU32() {
-    need(4);
-    u32 v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | std::to_integer<u32>(bytes_[off_ + static_cast<usize>(i)]);
-    }
-    off_ += 4;
-    return v;
-  }
-
-  u64 takeU64() {
-    need(8);
-    u64 v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | std::to_integer<u64>(bytes_[off_ + static_cast<usize>(i)]);
-    }
-    off_ += 8;
-    return v;
-  }
-
-  std::string takeString() {
-    const u32 len = takeU32();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + off_), len);
-    off_ += len;
-    return s;
-  }
-
-  usize offset() const { return off_; }
-  usize remaining() const { return bytes_.size() - off_; }
-
- private:
-  void need(usize n) const {
-    require(bytes_.size() - off_ >= n, "cas: truncated index section");
-  }
-
-  ConstByteSpan bytes_;
-  usize off_ = 0;
-};
+// A short read in the index section or in a journal record payload.
+constexpr const char* kTruncated = "cas: truncated index section";
 
 }  // namespace
 
@@ -530,40 +470,41 @@ void BlockStore::save(const std::string& path,
   // identical store content.
   std::vector<std::byte> index;
   std::vector<std::byte> data;
-  putU32(index, kIndexMagic);
-  putU32(index, kIndexVersion);
-  putU64(index, config_.hashSeed);
-  putU64(index, static_cast<u64>(config_.chunkBytes));
-  putU64(index, tick_);
-  putU64(index, static_cast<u64>(chunks_.size()));
-  putU64(index, static_cast<u64>(objects_.size()));
+  ByteWriter idx(index);
+  idx.putU32(kIndexMagic);
+  idx.putU32(kIndexVersion);
+  idx.putU64(config_.hashSeed);
+  idx.putU64(static_cast<u64>(config_.chunkBytes));
+  idx.putU64(tick_);
+  idx.putU64(static_cast<u64>(chunks_.size()));
+  idx.putU64(static_cast<u64>(objects_.size()));
 
   std::map<Hash128, u64> tableIndex;
   u64 next = 0;
   for (const auto& [hash, chunk] : chunks_) {
-    putU64(index, hash.hi);
-    putU64(index, hash.lo);
-    putU64(index, chunk.bytes);
-    putU32(index, chunk.refs);
+    idx.putU64(hash.hi);
+    idx.putU64(hash.lo);
+    idx.putU64(chunk.bytes);
+    idx.putU32(chunk.refs);
     const ConstByteSpan payload = chunk.payload();
     data.insert(data.end(), payload.begin(), payload.end());
     tableIndex.emplace(hash, next++);
   }
 
   for (const auto& [key, obj] : objects_) {
-    putString(index, obj.tenant);
-    putString(index, obj.name);
-    putU32(index, obj.formatVersion);
-    putU64(index, obj.bytes);
-    putU64(index, obj.generation);
-    putU64(index, obj.lastTouch);
-    putU64(index, static_cast<u64>(obj.chunks.size()));
+    idx.putString(obj.tenant);
+    idx.putString(obj.name);
+    idx.putU32(obj.formatVersion);
+    idx.putU64(obj.bytes);
+    idx.putU64(obj.generation);
+    idx.putU64(obj.lastTouch);
+    idx.putU64(static_cast<u64>(obj.chunks.size()));
     for (const Hash128& h : obj.chunks) {
-      putU64(index, tableIndex.at(h));
+      idx.putU64(tableIndex.at(h));
     }
   }
-  putU32(index, crc32(index));
-  putU32(data, crc32(data));
+  idx.putU32(crc32(index));
+  ByteWriter(data).putU32(crc32(data));
 
   io::ArchiveWriter writer;
   writer.addField(kIndexField, index);
@@ -593,13 +534,12 @@ std::unique_ptr<BlockStore> BlockStore::load(const std::string& path,
           "cas: archive has no CAS index: " + path);
 
   const ConstByteSpan index = reader.field(kIndexField);
-  require(index.size() >= 4, "cas: truncated index section");
+  require(index.size() >= 4, kTruncated);
   const ConstByteSpan body = index.subspan(0, index.size() - 4);
-  Cursor trailer(index.subspan(index.size() - 4));
-  require(trailer.takeU32() == crc32(body),
+  require(loadLe<u32>(body.data() + body.size()) == crc32(body),
           "cas: index section fails its CRC guard");
 
-  Cursor cur(body);
+  ByteReader cur(body, kTruncated);
   require(cur.takeU32() == kIndexMagic, "cas: bad index magic");
   require(cur.takeU32() == kIndexVersion, "cas: unsupported index version");
   // The hash seed and chunk size are properties of the serialized chunks;
@@ -618,8 +558,7 @@ std::unique_ptr<BlockStore> BlockStore::load(const std::string& path,
   // Eager whole-section guard: hash-bypassing reads (crcOf, re-save)
   // must never see corrupt payloads. get() still re-hashes each chunk,
   // which also covers damage that postdates this pass.
-  Cursor dataTrailer(data.subspan(data.size() - 4));
-  require(dataTrailer.takeU32() == crc32(payloads),
+  require(loadLe<u32>(payloads.data() + payloads.size()) == crc32(payloads),
           "cas: data section fails its CRC trailer");
 
   std::vector<Hash128> table;
@@ -710,14 +649,15 @@ void BlockStore::journalOpLocked(u32 type, const std::string& tenant,
                                  ConstByteSpan bytes) const {
   if (!journal_) return;
   std::vector<std::byte> payload;
-  putU64(payload, tick_);
+  ByteWriter w(payload);
+  w.putU64(tick_);
   if (type != kRecGc) {
-    putString(payload, tenant);
-    putString(payload, name);
+    w.putString(tenant);
+    w.putString(name);
   }
   if (type == kRecPut || type == kRecCompact || type == kRecCorrupt) {
-    putU64(payload, static_cast<u64>(bytes.size()));
-    payload.insert(payload.end(), bytes.begin(), bytes.end());
+    w.putU64(static_cast<u64>(bytes.size()));
+    w.putBytes(bytes);
   }
   journal_->append(type, payload);
   // The durability barrier: the mutator only returns — only *acks* —
@@ -745,7 +685,7 @@ JournalStatus BlockStore::journalStatus() const {
 }
 
 void BlockStore::applyJournalRecord(const io::JournalRecord& rec) {
-  Cursor cur(ConstByteSpan(rec.payload));
+  ByteReader cur(rec.payload, kTruncated);
   const u64 tick = cur.takeU64();
   switch (rec.type) {
     case kRecPut: {
@@ -753,8 +693,7 @@ void BlockStore::applyJournalRecord(const io::JournalRecord& rec) {
       const std::string name = cur.takeString();
       const u64 size = cur.takeU64();
       require(cur.remaining() == size, "cas: malformed put record payload");
-      const ConstByteSpan bytes(rec.payload.data() + cur.offset(),
-                                static_cast<usize>(size));
+      const ConstByteSpan bytes = cur.takeBytes(static_cast<usize>(size));
       // Re-run the public mutator with the recorded tick so generations
       // and stats come out exactly as they did live.
       tick_ = tick - 1;
@@ -783,8 +722,7 @@ void BlockStore::applyJournalRecord(const io::JournalRecord& rec) {
       const u64 size = cur.takeU64();
       require(cur.remaining() == size,
               "cas: malformed rewrite record payload");
-      const ConstByteSpan bytes(rec.payload.data() + cur.offset(),
-                                static_cast<usize>(size));
+      const ConstByteSpan bytes = cur.takeBytes(static_cast<usize>(size));
       std::lock_guard lock(mutex_);
       auto it = objects_.find(keyOf(tenant, name));
       require(it != objects_.end(),
@@ -847,11 +785,7 @@ std::unique_ptr<BlockStore> BlockStore::recover(const std::string& indexPath,
   const bool replayAll = replay.baseTick >= rep.snapshotTick;
   for (const io::JournalRecord& rec : replay.records) {
     require(rec.payload.size() >= 8, "cas: journal record missing its tick");
-    u64 tick = 0;
-    for (int i = 7; i >= 0; --i) {
-      tick = (tick << 8) |
-             std::to_integer<u64>(rec.payload[static_cast<usize>(i)]);
-    }
+    const u64 tick = loadLe<u64>(rec.payload.data());
     if (!replayAll && tick <= rep.snapshotTick) {
       ++rep.skippedRecords;
       continue;

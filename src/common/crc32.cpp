@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/bits.hpp"
+
 namespace cuszp2 {
 
 namespace {
@@ -32,13 +34,6 @@ constexpr Tables makeTables() {
 
 constexpr Tables kTables = makeTables();
 
-/// Little-endian u32 load; compilers fold it into one load on LE hosts.
-u32 loadLe32(const std::byte* p) {
-  return std::to_integer<u32>(p[0]) | (std::to_integer<u32>(p[1]) << 8) |
-         (std::to_integer<u32>(p[2]) << 16) |
-         (std::to_integer<u32>(p[3]) << 24);
-}
-
 }  // namespace
 
 u32 crc32(ConstByteSpan data, u32 seed) {
@@ -46,8 +41,8 @@ u32 crc32(ConstByteSpan data, u32 seed) {
   const std::byte* p = data.data();
   usize n = data.size();
   for (; n >= 8; n -= 8, p += 8) {
-    const u32 lo = loadLe32(p) ^ c;
-    const u32 hi = loadLe32(p + 4);
+    const u32 lo = loadLe<u32>(p) ^ c;
+    const u32 hi = loadLe<u32>(p + 4);
     c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
         kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
         kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^

@@ -1,7 +1,8 @@
 #include "common/hash128.hpp"
 
 #include <cstdio>
-#include <cstring>
+
+#include "common/bits.hpp"
 
 namespace cuszp2 {
 
@@ -16,16 +17,6 @@ inline u64 fmix64(u64 k) {
   k *= 0xC4CEB9FE1A85EC53ull;
   k ^= k >> 33;
   return k;
-}
-
-/// Byte-wise little-endian u64 read: identical digests on every platform
-/// regardless of host endianness or the span's alignment.
-inline u64 readLE64(const std::byte* p) {
-  u64 v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | std::to_integer<u64>(p[i]);
-  }
-  return v;
 }
 
 }  // namespace
@@ -48,9 +39,11 @@ Hash128 hash128(ConstByteSpan data, u64 seed) {
   constexpr u64 c1 = 0x87C37B91114253D5ull;
   constexpr u64 c2 = 0x4CF5AD432745937Full;
 
+  // Little-endian block loads: identical digests on every host,
+  // whatever its byte order or the span's alignment.
   for (usize i = 0; i < nblocks; ++i) {
-    u64 k1 = readLE64(p + i * 16);
-    u64 k2 = readLE64(p + i * 16 + 8);
+    u64 k1 = loadLe<u64>(p + i * 16);
+    u64 k2 = loadLe<u64>(p + i * 16 + 8);
 
     k1 *= c1;
     k1 = rotl64(k1, 31);

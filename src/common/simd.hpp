@@ -27,9 +27,9 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <span>
 
+#include "common/bits.hpp"
 #include "common/types.hpp"
 
 #if defined(__x86_64__) || defined(__amd64__) || defined(_M_X64)
@@ -633,12 +633,8 @@ template <typename T>
 __attribute__((target("avx2"))) inline void decodeFleBlock32Avx2(
     const std::byte* payload, u32 outlierBytes, u32 fl, f64 twoEb, usize n,
     T* out) {
-  u32 signs = 0;
-  std::memcpy(&signs, payload, 4);  // byte j = signs of values 8j..8j+7
-  u32 outlier = 0;
-  for (u32 k = 0; k < outlierBytes; ++k) {
-    outlier |= std::to_integer<u32>(payload[4 + k]) << (8 * k);
-  }
+  const u32 signs = loadLe<u32>(payload);  // byte j: values 8j..8j+7
+  const u32 outlier = loadLE(payload + 4, outlierBytes);
   __m256i abs[4];
   unpackPlanes32Regs(payload + 4 + outlierBytes, fl, abs);
   if (outlierBytes > 0) {

@@ -1,30 +1,10 @@
 #include "core/format.hpp"
 
-#include <cstring>
-
 #include "common/bits.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace cuszp2::core {
-
-namespace {
-
-void put64(std::byte* p, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-u64 get64(const std::byte* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<u64>(std::to_integer<u64>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
 
 u16 blockDigest(std::byte offsetByte, ConstByteSpan payload) {
   const u32 seeded = crc32(ConstByteSpan(&offsetByte, 1));
@@ -32,28 +12,28 @@ u16 blockDigest(std::byte offsetByte, ConstByteSpan payload) {
 }
 
 void StreamHeader::serialize(std::byte* out) const {
-  put64(out + 0, kMagic);
+  storeLe<u64>(out + 0, kMagic);
   u64 meta = 0;
   meta |= static_cast<u64>(version);
   meta |= static_cast<u64>(static_cast<u8>(precision)) << 8;
   meta |= static_cast<u64>(static_cast<u8>(mode)) << 16;
   meta |= static_cast<u64>(static_cast<u8>(predictor)) << 24;
   meta |= static_cast<u64>(blockSize) << 32;
-  put64(out + 8, meta);
-  put64(out + 16, numElements);
-  put64(out + 24, bitCast<u64>(absErrorBound));
+  storeLe<u64>(out + 8, meta);
+  storeLe<u64>(out + 16, numElements);
+  storeLe<u64>(out + 24, bitCast<u64>(absErrorBound));
   // Bytes [36, 40) carry the version-3 dictionary size; versions 1/2 keep
   // dictBytes == 0, so their serialized bytes are exactly the historical
   // reserved zeros.
-  put64(out + 32, static_cast<u64>(checksum) |
-                      (static_cast<u64>(dictBytes) << 32));
+  storeLe<u64>(out + 32, static_cast<u64>(checksum) |
+                             (static_cast<u64>(dictBytes) << 32));
 }
 
 StreamHeader StreamHeader::parse(ConstByteSpan stream) {
   require(stream.size() >= kBytes, "StreamHeader: truncated stream");
-  require(get64(stream.data()) == kMagic,
+  require(loadLe<u64>(stream.data()) == kMagic,
           "StreamHeader: bad magic (not a cuSZp2 stream)");
-  const u64 meta = get64(stream.data() + 8);
+  const u64 meta = loadLe<u64>(stream.data() + 8);
   const u32 version = static_cast<u32>(meta & 0xFFu);
   require(version == kFormatVersion || version == kFormatVersionV2 ||
               version == kFormatVersionV3,
@@ -73,10 +53,10 @@ StreamHeader StreamHeader::parse(ConstByteSpan stream) {
   h.blockSize = static_cast<u32>(meta >> 32);
   require(h.blockSize >= 8 && h.blockSize <= 256 && h.blockSize % 8 == 0,
           "StreamHeader: invalid block size");
-  h.numElements = get64(stream.data() + 16);
-  h.absErrorBound = bitCast<f64>(get64(stream.data() + 24));
+  h.numElements = loadLe<u64>(stream.data() + 16);
+  h.absErrorBound = bitCast<f64>(loadLe<u64>(stream.data() + 24));
   require(h.absErrorBound > 0.0, "StreamHeader: invalid error bound");
-  const u64 tail = get64(stream.data() + 32);
+  const u64 tail = loadLe<u64>(stream.data() + 32);
   h.checksum = static_cast<u32>(tail);
   h.dictBytes = static_cast<u32>(tail >> 32);
   if (version < kFormatVersionV3) {

@@ -33,38 +33,24 @@ struct NdHeader {
   static constexpr usize kBytes = 64;
 };
 
-void put64(std::byte* p, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-u64 get64(const std::byte* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<u64>(std::to_integer<u64>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 void serializeHeader(const NdHeader& h, std::byte* out) {
-  put64(out + 0, kNdMagic);
+  storeLe<u64>(out + 0, kNdMagic);
   u64 meta = static_cast<u64>(static_cast<u8>(h.precision));
   meta |= static_cast<u64>(static_cast<u8>(h.dims)) << 8;
   meta |= static_cast<u64>(static_cast<u8>(h.mode)) << 16;
-  put64(out + 8, meta);
-  put64(out + 16, h.grid.nx);
-  put64(out + 24, h.grid.ny);
-  put64(out + 32, h.grid.nz);
-  put64(out + 40, bitCast<u64>(h.absErrorBound));
-  put64(out + 48, 0);
-  put64(out + 56, 0);
+  storeLe<u64>(out + 8, meta);
+  storeLe<u64>(out + 16, h.grid.nx);
+  storeLe<u64>(out + 24, h.grid.ny);
+  storeLe<u64>(out + 32, h.grid.nz);
+  storeLe<u64>(out + 40, bitCast<u64>(h.absErrorBound));
+  storeLe<u64>(out + 48, 0);
+  storeLe<u64>(out + 56, 0);
 }
 
 NdHeader parseHeader(ConstByteSpan stream) {
   require(stream.size() >= NdHeader::kBytes, "NdCompressor: truncated stream");
-  require(get64(stream.data()) == kNdMagic, "NdCompressor: bad magic");
-  const u64 meta = get64(stream.data() + 8);
+  require(loadLe<u64>(stream.data()) == kNdMagic, "NdCompressor: bad magic");
+  const u64 meta = loadLe<u64>(stream.data() + 8);
   NdHeader h{};
   const u8 prec = static_cast<u8>(meta & 0xFFu);
   require(prec <= 1, "NdCompressor: invalid precision tag");
@@ -75,11 +61,11 @@ NdHeader parseHeader(ConstByteSpan stream) {
   const u8 mode = static_cast<u8>((meta >> 16) & 0xFFu);
   require(mode <= 1, "NdCompressor: invalid mode tag");
   h.mode = static_cast<EncodingMode>(mode);
-  h.grid.nx = get64(stream.data() + 16);
-  h.grid.ny = get64(stream.data() + 24);
-  h.grid.nz = get64(stream.data() + 32);
+  h.grid.nx = loadLe<u64>(stream.data() + 16);
+  h.grid.ny = loadLe<u64>(stream.data() + 24);
+  h.grid.nz = loadLe<u64>(stream.data() + 32);
   require(h.grid.count() > 0, "NdCompressor: empty grid");
-  h.absErrorBound = bitCast<f64>(get64(stream.data() + 40));
+  h.absErrorBound = bitCast<f64>(loadLe<u64>(stream.data() + 40));
   require(h.absErrorBound > 0.0, "NdCompressor: invalid error bound");
   return h;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "entropy/huffman.hpp"
@@ -10,30 +11,6 @@
 namespace cuszp2::core {
 
 namespace {
-
-void put16(std::byte* p, u16 v) {
-  p[0] = static_cast<std::byte>(v & 0xFFu);
-  p[1] = static_cast<std::byte>(v >> 8);
-}
-
-u16 get16(const std::byte* p) {
-  return static_cast<u16>(std::to_integer<u16>(p[0]) |
-                          (std::to_integer<u16>(p[1]) << 8));
-}
-
-void put32(std::byte* p, u32 v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFu);
-  }
-}
-
-u32 get32(const std::byte* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::to_integer<u32>(p[i]) << (8 * i);
-  }
-  return v;
-}
 
 /// MSB-first bit packer over a caller-provided byte region. Codes (at most
 /// 32 bits) collect in a 64-bit accumulator that leaves it as whole bytes,
@@ -124,7 +101,7 @@ usize V3BlockDesc::payloadBytes(const PayloadSizeTable& psize,
     case PipelineId::Huffman:
     case PipelineId::Rle:
       if (remaining < kV3EntropyPrefixBytes) return kV3EntropyPrefixBytes;
-      return kV3EntropyPrefixBytes + get16(payload);
+      return kV3EntropyPrefixBytes + loadLe<u16>(payload);
     default:
       return 0;  // unknown pipeline: no framing info, block is quarantined
   }
@@ -152,11 +129,11 @@ void HuffTable::serialize(std::byte* out) const {
   for (u8 l : lengths) {
     if (l > 0) ++used;
   }
-  put16(out, static_cast<u16>(used));
+  storeLe<u16>(out, static_cast<u16>(used));
   std::byte* p = out + 2;
   for (usize s = 0; s < lengths.size(); ++s) {
     if (lengths[s] == 0) continue;
-    put16(p, static_cast<u16>(s));
+    storeLe<u16>(p, static_cast<u16>(s));
     p[2] = static_cast<std::byte>(lengths[s]);
     p += 3;
   }
@@ -164,7 +141,7 @@ void HuffTable::serialize(std::byte* out) const {
 
 HuffTable HuffTable::parse(ConstByteSpan bytes) {
   require(bytes.size() >= 2, "HuffTable: truncated table header");
-  const u16 used = get16(bytes.data());
+  const u16 used = loadLe<u16>(bytes.data());
   require(bytes.size() == 2 + static_cast<usize>(used) * 3,
           "HuffTable: table size does not match its entry count");
   require(used <= kSymbolAlphabet, "HuffTable: too many table entries");
@@ -175,7 +152,7 @@ HuffTable HuffTable::parse(ConstByteSpan bytes) {
   u8 maxLen = 0;
   for (u16 i = 0; i < used; ++i) {
     const std::byte* e = bytes.data() + 2 + static_cast<usize>(i) * 3;
-    const u16 sym = get16(e);
+    const u16 sym = loadLe<u16>(e);
     const u8 len = std::to_integer<u8>(e[2]);
     require(sym < kSymbolAlphabet, "HuffTable: symbol out of alphabet");
     require(static_cast<i32>(sym) > prevSymbol,
@@ -371,14 +348,14 @@ usize encodeHuffmanBlock(std::span<const i32> residuals,
   usize bits = 0;
   for (i32 r : residuals) bits += table.lengths[symbolOf(r)];
   const usize codedBytes = (bits + 7) / 8;
-  put16(out, static_cast<u16>(bits));
+  storeLe<u16>(out, static_cast<u16>(bits));
   MsbBitWriter writer{out + 2};
   std::byte* escapes = out + 2 + codedBytes;
   for (i32 r : residuals) {
     const u16 s = symbolOf(r);
     writer.writeCode(table.codes[s], table.lengths[s]);
     if (s == kEscapeSymbol) {
-      put32(escapes, static_cast<u32>(r));
+      storeLe<u32>(escapes, static_cast<u32>(r));
       escapes += 4;
     }
   }
@@ -389,7 +366,7 @@ usize encodeHuffmanBlock(std::span<const i32> residuals,
 void decodeHuffmanBlock(ConstByteSpan payload, const HuffDecoder& decoder,
                         std::span<i32> residuals) {
   require(payload.size() >= 2, "Huffman block: truncated header");
-  const usize bitCount = get16(payload.data());
+  const usize bitCount = loadLe<u16>(payload.data());
   const usize codedBytes = (bitCount + 7) / 8;
   require(payload.size() >= 2 + codedBytes,
           "Huffman block: truncated code section");
@@ -424,7 +401,7 @@ void decodeHuffmanBlock(ConstByteSpan payload, const HuffDecoder& decoder,
       if (s == kEscapeSymbol) {
         require(escapeUsed + 4 <= escapeAvail,
                 "Huffman block: truncated escape section");
-        r = static_cast<i32>(get32(escapes + escapeUsed));
+        r = static_cast<i32>(loadLe<u32>(escapes + escapeUsed));
         escapeUsed += 4;
       } else {
         r = zigzagDecode(s);
@@ -448,17 +425,17 @@ usize encodeRleBlock(std::span<const i32> residuals, std::byte* out) {
            j - i < 256) {
       ++j;
     }
-    put16(runs, s);
+    storeLe<u16>(runs, s);
     runs[2] = static_cast<std::byte>(j - i - 1);
     runs += 3;
     ++runCount;
     i = j;
   }
-  put16(out, static_cast<u16>(runCount));
+  storeLe<u16>(out, static_cast<u16>(runCount));
   std::byte* esc = runs;
   for (i32 r : residuals) {
     if (symbolOf(r) == kEscapeSymbol) {
-      put32(esc, static_cast<u32>(r));
+      storeLe<u32>(esc, static_cast<u32>(r));
       esc += 4;
     }
   }
@@ -467,7 +444,7 @@ usize encodeRleBlock(std::span<const i32> residuals, std::byte* out) {
 
 void decodeRleBlock(ConstByteSpan payload, std::span<i32> residuals) {
   require(payload.size() >= 2, "RLE block: truncated header");
-  const u16 runCount = get16(payload.data());
+  const u16 runCount = loadLe<u16>(payload.data());
   require(payload.size() >= 2 + static_cast<usize>(runCount) * 3,
           "RLE block: truncated run section");
   const std::byte* runs = payload.data() + 2;
@@ -477,7 +454,7 @@ void decodeRleBlock(ConstByteSpan payload, std::span<i32> residuals) {
   usize escapeUsed = 0;
   usize e = 0;
   for (u16 run = 0; run < runCount; ++run) {
-    const u16 sym = get16(runs + run * 3);
+    const u16 sym = loadLe<u16>(runs + run * 3);
     const usize len = std::to_integer<usize>(runs[run * 3 + 2]) + 1;
     require(sym < kSymbolAlphabet, "RLE block: symbol out of alphabet");
     require(e + len <= residuals.size(),
@@ -486,7 +463,7 @@ void decodeRleBlock(ConstByteSpan payload, std::span<i32> residuals) {
       if (sym == kEscapeSymbol) {
         require(escapeUsed + 4 <= escapeAvail,
                 "RLE block: truncated escape section");
-        residuals[e++] = static_cast<i32>(get32(escapes + escapeUsed));
+        residuals[e++] = static_cast<i32>(loadLe<u32>(escapes + escapeUsed));
         escapeUsed += 4;
       } else {
         residuals[e++] = zigzagDecode(sym);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 
 namespace cuszp2::core {
@@ -10,21 +11,6 @@ namespace {
 
 constexpr u64 kSegMagic = 0x32505A43'47455301ull;  // "SEG..CZP2"
 constexpr u32 kSegVersion = 1;
-
-void put64(std::vector<std::byte>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-u64 get64(ConstByteSpan data, usize pos) {
-  require(pos + 8 <= data.size(), "Segmented: truncated container");
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<u64>(std::to_integer<u64>(data[pos + i])) << (8 * i);
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -70,14 +56,13 @@ std::vector<std::byte> SegmentedCompressor<T>::finish() {
   if (!buffer_.empty()) flushSegment();
 
   std::vector<std::byte> out;
-  put64(out, kSegMagic);
-  put64(out, kSegVersion);  // version u32 + reserved u32
-  put64(out, segmentElems_);
-  put64(out, segments_.size());
-  for (const auto& s : segments_) put64(out, s.size());
-  for (const auto& s : segments_) {
-    out.insert(out.end(), s.begin(), s.end());
-  }
+  ByteWriter w(out);
+  w.putU64(kSegMagic);
+  w.putU64(kSegVersion);  // version u32 + reserved u32
+  w.putU64(segmentElems_);
+  w.putU64(segments_.size());
+  for (const auto& s : segments_) w.putU64(s.size());
+  for (const auto& s : segments_) w.putBytes(s);
 
   segments_.clear();
   totalElems_ = 0;
@@ -89,11 +74,13 @@ SegmentedReader<T>::SegmentedReader(ConstByteSpan container,
                                     gpusim::DeviceSpec device)
     : container_(container),
       stream_(Config{.absErrorBound = 1.0}, std::move(device)) {
-  require(get64(container, 0) == kSegMagic,
+  ByteReader toc(container, "Segmented: truncated container");
+  require(toc.takeU64() == kSegMagic,
           "SegmentedReader: bad magic (not a segmented cuSZp2 container)");
-  require((get64(container, 8) & 0xFFFFFFFFu) == kSegVersion,
+  require((toc.takeU64() & 0xFFFFFFFFu) == kSegVersion,
           "SegmentedReader: unsupported container version");
-  const u64 numSegments = get64(container, 24);
+  toc.takeU64();  // segment size: informational, each stream self-sizes
+  const u64 numSegments = toc.takeU64();
   require(numSegments <= 100'000'000,
           "SegmentedReader: implausible segment count");
 
@@ -101,7 +88,7 @@ SegmentedReader<T>::SegmentedReader(ConstByteSpan container,
   entries_.reserve(numSegments);
   for (u64 i = 0; i < numSegments; ++i) {
     Entry e;
-    e.length = get64(container, 32 + static_cast<usize>(i) * 8);
+    e.length = toc.takeU64();
     e.offset = offset;
     require(offset + e.length >= offset && offset + e.length <=
                 container.size(),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bits.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 
@@ -19,75 +20,6 @@ constexpr u32 kParityVersion = 1;
 /// u64] at the very end of the archive.
 constexpr usize kParityHeadBytes = 48;
 constexpr usize kParityTailBytes = 20;
-
-void put64(std::vector<std::byte>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put32(std::vector<std::byte>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-class Cursor {
- public:
-  explicit Cursor(ConstByteSpan data) : data_(data) {}
-
-  u64 get64() {
-    require(pos_ + 8 <= data_.size(), "Archive: truncated header");
-    u64 v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<u64>(std::to_integer<u64>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  u32 get32() {
-    require(pos_ + 4 <= data_.size(), "Archive: truncated header");
-    u32 v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<u32>(std::to_integer<u32>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::string getString(usize len) {
-    require(pos_ + len <= data_.size(), "Archive: truncated field name");
-    std::string s(len, '\0');
-    for (usize i = 0; i < len; ++i) {
-      s[i] = static_cast<char>(std::to_integer<u8>(data_[pos_ + i]));
-    }
-    pos_ += len;
-    return s;
-  }
-
-  usize position() const { return pos_; }
-
- private:
-  ConstByteSpan data_;
-  usize pos_ = 0;
-};
-
-u32 read32(ConstByteSpan data, usize pos) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<u32>(std::to_integer<u32>(data[pos + i])) << (8 * i);
-  }
-  return v;
-}
-
-u64 read64(ConstByteSpan data, usize pos) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<u64>(std::to_integer<u64>(data[pos + i])) << (8 * i);
-  }
-  return v;
-}
 
 /// Resolved parity-trailer geometry (absolute positions in the archive).
 struct TrailerView {
@@ -110,29 +42,28 @@ enum class TrailerStatus { Absent, Damaged, Ok };
 /// parity".
 TrailerStatus locateTrailer(ConstByteSpan archive, TrailerView& t) {
   const usize minTrailer = kParityHeadBytes + kParityTailBytes;
-  if (archive.size() < minTrailer ||
-      read64(archive, archive.size() - 8) != kParityMagic) {
+  const std::byte* end = archive.data() + archive.size();
+  if (archive.size() < minTrailer || loadLe<u64>(end - 8) != kParityMagic) {
     return TrailerStatus::Absent;
   }
-  const u64 trailerBytes = read64(archive, archive.size() - 16);
+  const u64 trailerBytes = loadLe<u64>(end - 16);
   if (trailerBytes < minTrailer || trailerBytes > archive.size()) {
     return TrailerStatus::Damaged;
   }
   t.trailerStart = archive.size() - static_cast<usize>(trailerBytes);
-  if (read64(archive, t.trailerStart) != kParityMagic) {
-    return TrailerStatus::Damaged;
-  }
-  const u32 storedCrc = read32(archive, archive.size() - kParityTailBytes);
+  const std::byte* head = archive.data() + t.trailerStart;
+  if (loadLe<u64>(head) != kParityMagic) return TrailerStatus::Damaged;
+  const u32 storedCrc = loadLe<u32>(end - kParityTailBytes);
   const u32 actualCrc = crc32(archive.subspan(
       t.trailerStart, archive.size() - kParityTailBytes - t.trailerStart));
   if (storedCrc != actualCrc) return TrailerStatus::Damaged;
-  if ((read64(archive, t.trailerStart + 8) & 0xFFFFFFFFu) != kParityVersion) {
+  if ((loadLe<u64>(head + 8) & 0xFFFFFFFFu) != kParityVersion) {
     return TrailerStatus::Damaged;
   }
-  t.protectedBytes = read64(archive, t.trailerStart + 16);
-  t.chunkBytes = read64(archive, t.trailerStart + 24);
-  t.groupSize = read64(archive, t.trailerStart + 32);
-  t.chunkCount = read64(archive, t.trailerStart + 40);
+  t.protectedBytes = loadLe<u64>(head + 16);
+  t.chunkBytes = loadLe<u64>(head + 24);
+  t.groupSize = loadLe<u64>(head + 32);
+  t.chunkCount = loadLe<u64>(head + 40);
   if (t.chunkBytes == 0 || t.groupSize < 2 ||
       t.protectedBytes != t.trailerStart ||
       t.chunkCount !=
@@ -169,6 +100,7 @@ RepairReport scanParity(ConstByteSpan archive, std::byte* mut) {
         t.chunkBytes, t.protectedBytes - c * t.chunkBytes));
   };
 
+  const std::byte* crcs = archive.data() + t.crcTable;
   std::vector<std::byte> acc(static_cast<usize>(t.chunkBytes));
   std::vector<u64> bad;
   for (u64 g = 0; g < t.groupCount; ++g) {
@@ -178,7 +110,7 @@ RepairReport scanParity(ConstByteSpan archive, std::byte* mut) {
     for (u64 c = first; c < last; ++c) {
       const u32 crc = crc32(archive.subspan(
           static_cast<usize>(c * t.chunkBytes), chunkLen(c)));
-      if (crc != read32(archive, t.crcTable + static_cast<usize>(c) * 4)) {
+      if (crc != loadLe<u32>(crcs + static_cast<usize>(c) * 4)) {
         bad.push_back(c);
       }
     }
@@ -205,8 +137,7 @@ RepairReport scanParity(ConstByteSpan archive, std::byte* mut) {
     }
     const usize targetLen = chunkLen(target);
     const u32 rebuiltCrc = crc32(ConstByteSpan(acc.data(), targetLen));
-    if (rebuiltCrc !=
-        read32(archive, t.crcTable + static_cast<usize>(target) * 4)) {
+    if (rebuiltCrc != loadLe<u32>(crcs + static_cast<usize>(target) * 4)) {
       ++rep.unrepairableChunks;
       continue;
     }
@@ -224,7 +155,7 @@ RepairReport scanParity(ConstByteSpan archive, std::byte* mut) {
 }  // namespace
 
 bool isArchive(ConstByteSpan bytes) {
-  return bytes.size() >= 8 && read64(bytes, 0) == kArchiveMagic;
+  return bytes.size() >= 8 && loadLe<u64>(bytes.data()) == kArchiveMagic;
 }
 
 RepairReport verifyParity(ConstByteSpan archive) {
@@ -282,18 +213,14 @@ bool ArchiveWriter::hasField(const std::string& name) const {
 
 std::vector<std::byte> ArchiveWriter::finalize() const {
   std::vector<std::byte> out;
-  put64(out, kArchiveMagic);
-  put64(out, fields_.size());
+  ByteWriter w(out);
+  w.putU64(kArchiveMagic);
+  w.putU64(fields_.size());
   for (const auto& f : fields_) {
-    put32(out, static_cast<u32>(f.name.size()));
-    for (char c : f.name) {
-      out.push_back(static_cast<std::byte>(static_cast<u8>(c)));
-    }
-    put64(out, f.stream.size());
+    w.putString(f.name);
+    w.putU64(f.stream.size());
   }
-  for (const auto& f : fields_) {
-    out.insert(out.end(), f.stream.begin(), f.stream.end());
-  }
+  for (const auto& f : fields_) w.putBytes(f.stream);
   return out;
 }
 
@@ -320,12 +247,13 @@ std::vector<std::byte> withParityTrailer(std::vector<std::byte> out,
               static_cast<usize>(groupCount) * parity.chunkBytes +
               kParityTailBytes);
 
-  put64(out, kParityMagic);
-  put64(out, kParityVersion);  // version u32 + reserved u32
-  put64(out, protectedBytes);
-  put64(out, parity.chunkBytes);
-  put64(out, parity.groupSize);
-  put64(out, chunkCount);
+  ByteWriter w(out);
+  w.putU64(kParityMagic);
+  w.putU64(kParityVersion);  // version u32 + reserved u32
+  w.putU64(protectedBytes);
+  w.putU64(parity.chunkBytes);
+  w.putU64(parity.groupSize);
+  w.putU64(chunkCount);
 
   const auto chunkLen = [&](u64 c) {
     return std::min<usize>(parity.chunkBytes,
@@ -333,8 +261,8 @@ std::vector<std::byte> withParityTrailer(std::vector<std::byte> out,
                                c * parity.chunkBytes);
   };
   for (u64 c = 0; c < chunkCount; ++c) {
-    put32(out, crc32(ConstByteSpan(out.data() + c * parity.chunkBytes,
-                                   chunkLen(c))));
+    w.putU32(crc32(ConstByteSpan(out.data() + c * parity.chunkBytes,
+                                 chunkLen(c))));
   }
   std::vector<std::byte> acc(parity.chunkBytes);
   for (u64 g = 0; g < groupCount; ++g) {
@@ -346,35 +274,36 @@ std::vector<std::byte> withParityTrailer(std::vector<std::byte> out,
       const usize len = chunkLen(c);
       for (usize i = 0; i < len; ++i) acc[i] ^= src[i];
     }
-    out.insert(out.end(), acc.begin(), acc.end());
+    w.putBytes(acc);
   }
 
   const usize bodyBytes = out.size() - trailerStart;
-  put32(out, crc32(ConstByteSpan(out.data() + trailerStart, bodyBytes)));
-  put64(out, bodyBytes + kParityTailBytes);
-  put64(out, kParityMagic);
+  w.putU32(crc32(ConstByteSpan(out.data() + trailerStart, bodyBytes)));
+  w.putU64(bodyBytes + kParityTailBytes);
+  w.putU64(kParityMagic);
   return out;
 }
 
 ArchiveReader::ArchiveReader(ConstByteSpan archive) : archive_(archive) {
-  Cursor cursor(archive);
-  require(cursor.get64() == kArchiveMagic,
+  ByteReader toc(archive, "Archive: truncated header");
+  require(toc.takeU64() == kArchiveMagic,
           "ArchiveReader: bad magic (not a cuSZp2 archive)");
-  const u64 count = cursor.get64();
+  const u64 count = toc.takeU64();
   require(count <= 1'000'000, "ArchiveReader: implausible field count");
 
-  std::vector<usize> lengths;
   entries_.reserve(count);
   for (u64 i = 0; i < count; ++i) {
     Entry e;
-    const u32 nameLen = cursor.get32();
+    const u32 nameLen = toc.takeU32();
     require(nameLen > 0 && nameLen <= 4096,
             "ArchiveReader: invalid field-name length");
-    e.name = cursor.getString(nameLen);
-    e.length = cursor.get64();
+    require(toc.remaining() >= nameLen, "Archive: truncated field name");
+    const ConstByteSpan name = toc.takeBytes(nameLen);
+    e.name.assign(reinterpret_cast<const char*>(name.data()), name.size());
+    e.length = toc.takeU64();
     entries_.push_back(std::move(e));
   }
-  usize offset = cursor.position();
+  usize offset = toc.offset();
   for (auto& e : entries_) {
     e.offset = offset;
     require(offset + e.length >= offset, "ArchiveReader: length overflow");

@@ -1,7 +1,6 @@
 #include "io/journal.hpp"
 
-#include <cstring>
-
+#include "common/bits.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "io/crash.hpp"
@@ -17,43 +16,16 @@ namespace cuszp2::io {
 
 namespace {
 
-void putU32(std::vector<std::byte>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (i * 8)) & 0xff));
-  }
-}
-
-void putU64(std::vector<std::byte>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (i * 8)) & 0xff));
-  }
-}
-
-u32 readU32(const std::byte* p) {
-  u32 v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<u32>(std::to_integer<u8>(p[i])) << (i * 8);
-  }
-  return v;
-}
-
-u64 readU64(const std::byte* p) {
-  u64 v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<u64>(std::to_integer<u8>(p[i])) << (i * 8);
-  }
-  return v;
-}
-
 std::vector<std::byte> buildHeader(u64 ownerTag, u64 baseTick) {
   std::vector<std::byte> h;
   h.reserve(kJournalHeaderBytes);
-  putU32(h, kJournalMagic);
-  putU32(h, kJournalVersion);
-  putU64(h, ownerTag);
-  putU64(h, baseTick);
-  putU32(h, 0);  // reserved
-  putU32(h, crc32(ConstByteSpan(h.data(), h.size())));
+  ByteWriter w(h);
+  w.putU32(kJournalMagic);
+  w.putU32(kJournalVersion);
+  w.putU64(ownerTag);
+  w.putU64(baseTick);
+  w.putU32(0);  // reserved
+  w.putU32(crc32(h));
   return h;
 }
 
@@ -84,27 +56,27 @@ ReplayResult replayJournal(const std::string& path) {
   const std::vector<std::byte> bytes = readBytes(path);
   require(bytes.size() >= kJournalHeaderBytes,
           "journal: header truncated in " + path);
-  require(readU32(bytes.data()) == kJournalMagic,
+  require(loadLe<u32>(bytes.data()) == kJournalMagic,
           "journal: bad magic in " + path);
-  require(readU32(bytes.data() + 4) == kJournalVersion,
+  require(loadLe<u32>(bytes.data() + 4) == kJournalVersion,
           "journal: unsupported version in " + path);
-  const u32 headerCrc = readU32(bytes.data() + kJournalHeaderBytes - 4);
+  const u32 headerCrc = loadLe<u32>(bytes.data() + kJournalHeaderBytes - 4);
   require(crc32(ConstByteSpan(bytes.data(), kJournalHeaderBytes - 4)) ==
               headerCrc,
           "journal: header checksum mismatch in " + path);
 
   ReplayResult out;
-  out.ownerTag = readU64(bytes.data() + 8);
-  out.baseTick = readU64(bytes.data() + 16);
+  out.ownerTag = loadLe<u64>(bytes.data() + 8);
+  out.baseTick = loadLe<u64>(bytes.data() + 16);
 
   usize off = kJournalHeaderBytes;
   while (true) {
     if (bytes.size() - off < kRecordFrameBytes) break;
     const std::byte* frame = bytes.data() + off;
-    if (readU32(frame) != kRecordMagic) break;
-    const u32 type = readU32(frame + 4);
-    const u32 payloadBytes = readU32(frame + 8);
-    const u32 payloadCrc = readU32(frame + 12);
+    if (loadLe<u32>(frame) != kRecordMagic) break;
+    const u32 type = loadLe<u32>(frame + 4);
+    const u32 payloadBytes = loadLe<u32>(frame + 8);
+    const u32 payloadCrc = loadLe<u32>(frame + 12);
     if (payloadBytes > bytes.size() - off - kRecordFrameBytes) break;
     const ConstByteSpan payload(frame + kRecordFrameBytes, payloadBytes);
     if (crc32(payload) != payloadCrc) break;
@@ -171,11 +143,12 @@ void JournalWriter::append(u32 type, ConstByteSpan payload) {
   require(payload.size() <= static_cast<usize>(UINT32_MAX),
           "journal: record payload too large");
   std::lock_guard<std::mutex> lock(mu_);
-  putU32(pending_, kRecordMagic);
-  putU32(pending_, type);
-  putU32(pending_, static_cast<u32>(payload.size()));
-  putU32(pending_, crc32(payload));
-  pending_.insert(pending_.end(), payload.begin(), payload.end());
+  ByteWriter w(pending_);
+  w.putU32(kRecordMagic);
+  w.putU32(type);
+  w.putU32(static_cast<u32>(payload.size()));
+  w.putU32(crc32(payload));
+  w.putBytes(payload);
   ++appended_;
   telemetry::registry().counter("journal.appends").add(1);
 }

@@ -1,131 +1,46 @@
 #include "service/durability.hpp"
 
-#include <bit>
 #include <map>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 
 namespace cuszp2::service {
 
-namespace {
-
-void putU8(std::vector<std::byte>& out, u8 v) {
-  out.push_back(static_cast<std::byte>(v));
-}
-
-void putU32(std::vector<std::byte>& out, u32 v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void putU64(std::vector<std::byte>& out, u64 v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void putF64(std::vector<std::byte>& out, f64 v) {
-  putU64(out, std::bit_cast<u64>(v));
-}
-
-void putString(std::vector<std::byte>& out, const std::string& s) {
-  putU32(out, static_cast<u32>(s.size()));
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out.insert(out.end(), p, p + s.size());
-}
-
-class Cursor {
- public:
-  explicit Cursor(ConstByteSpan bytes) : bytes_(bytes) {}
-
-  u8 takeU8() {
-    need(1);
-    return std::to_integer<u8>(bytes_[off_++]);
-  }
-
-  u32 takeU32() {
-    need(4);
-    u32 v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | std::to_integer<u32>(bytes_[off_ + static_cast<usize>(i)]);
-    }
-    off_ += 4;
-    return v;
-  }
-
-  u64 takeU64() {
-    need(8);
-    u64 v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | std::to_integer<u64>(bytes_[off_ + static_cast<usize>(i)]);
-    }
-    off_ += 8;
-    return v;
-  }
-
-  f64 takeF64() { return std::bit_cast<f64>(takeU64()); }
-
-  std::string takeString() {
-    const u32 len = takeU32();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + off_), len);
-    off_ += len;
-    return s;
-  }
-
-  std::vector<std::byte> takeBytes(usize n) {
-    need(n);
-    std::vector<std::byte> out(bytes_.data() + off_, bytes_.data() + off_ + n);
-    off_ += n;
-    return out;
-  }
-
-  usize remaining() const { return bytes_.size() - off_; }
-
- private:
-  void need(usize n) const {
-    require(bytes_.size() - off_ >= n,
-            "service: truncated job journal record");
-  }
-
-  ConstByteSpan bytes_;
-  usize off_ = 0;
-};
-
-}  // namespace
+constexpr const char* kTruncated = "service: truncated job journal record";
 
 std::vector<std::byte> encodeJobAccept(const JobAcceptRecord& rec) {
   std::vector<std::byte> out;
   out.reserve(64 + rec.tenant.size() + rec.input.size());
-  putU64(out, rec.jobId);
-  putU64(out, rec.supersedesId);
-  putString(out, rec.tenant);
-  putU8(out, static_cast<u8>(rec.kind));
-  putU8(out, static_cast<u8>(rec.precision));
-  putU8(out, rec.priority);
+  ByteWriter w(out);
+  w.putU64(rec.jobId);
+  w.putU64(rec.supersedesId);
+  w.putString(rec.tenant);
+  w.putU8(static_cast<u8>(rec.kind));
+  w.putU8(static_cast<u8>(rec.precision));
+  w.putU8(rec.priority);
   // core::Config, field by field (f64s bit-cast so the replayed Config
   // compares == to the submitted one).
-  putF64(out, rec.config.relErrorBound);
-  putF64(out, rec.config.absErrorBound);
-  putU8(out, static_cast<u8>(rec.config.mode));
-  putU32(out, rec.config.blockSize);
-  putU32(out, rec.config.blocksPerTile);
-  putU8(out, static_cast<u8>(rec.config.syncAlgorithm));
-  putU8(out, rec.config.vectorizedAccess ? 1 : 0);
-  putU8(out, rec.config.checksum ? 1 : 0);
-  putU8(out, rec.config.blockChecksums ? 1 : 0);
-  putU32(out, rec.config.faultRetries);
-  putU8(out, static_cast<u8>(rec.config.roundingMode));
-  putU8(out, static_cast<u8>(rec.config.predictor));
-  putU8(out, static_cast<u8>(rec.config.pipeline));
-  putU64(out, static_cast<u64>(rec.input.size()));
-  out.insert(out.end(), rec.input.begin(), rec.input.end());
+  w.putF64(rec.config.relErrorBound);
+  w.putF64(rec.config.absErrorBound);
+  w.putU8(static_cast<u8>(rec.config.mode));
+  w.putU32(rec.config.blockSize);
+  w.putU32(rec.config.blocksPerTile);
+  w.putU8(static_cast<u8>(rec.config.syncAlgorithm));
+  w.putU8(rec.config.vectorizedAccess ? 1 : 0);
+  w.putU8(rec.config.checksum ? 1 : 0);
+  w.putU8(rec.config.blockChecksums ? 1 : 0);
+  w.putU32(rec.config.faultRetries);
+  w.putU8(static_cast<u8>(rec.config.roundingMode));
+  w.putU8(static_cast<u8>(rec.config.predictor));
+  w.putU8(static_cast<u8>(rec.config.pipeline));
+  w.putU64(static_cast<u64>(rec.input.size()));
+  w.putBytes(rec.input);
   return out;
 }
 
 JobAcceptRecord decodeJobAccept(ConstByteSpan payload) {
-  Cursor cur(payload);
+  ByteReader cur(payload, kTruncated);
   JobAcceptRecord rec;
   rec.jobId = cur.takeU64();
   rec.supersedesId = cur.takeU64();
@@ -149,20 +64,22 @@ JobAcceptRecord decodeJobAccept(ConstByteSpan payload) {
   const u64 inputBytes = cur.takeU64();
   require(cur.remaining() == inputBytes,
           "service: accept record input length disagrees with its payload");
-  rec.input = cur.takeBytes(static_cast<usize>(inputBytes));
+  const ConstByteSpan input = cur.takeBytes(static_cast<usize>(inputBytes));
+  rec.input.assign(input.begin(), input.end());
   return rec;
 }
 
 std::vector<std::byte> encodeJobResolve(u64 jobId, Outcome outcome) {
   std::vector<std::byte> out;
   out.reserve(9);
-  putU64(out, jobId);
-  putU8(out, static_cast<u8>(outcome));
+  ByteWriter w(out);
+  w.putU64(jobId);
+  w.putU8(static_cast<u8>(outcome));
   return out;
 }
 
 JobResolveRecord decodeJobResolve(ConstByteSpan payload) {
-  Cursor cur(payload);
+  ByteReader cur(payload, kTruncated);
   JobResolveRecord rec;
   rec.jobId = cur.takeU64();
   rec.outcome = static_cast<Outcome>(cur.takeU8());

@@ -123,12 +123,6 @@ std::vector<f32> mixedInput() {
   return v;
 }
 
-u64 readLE64(const std::byte* p) {
-  u64 v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | std::to_integer<u64>(p[i]);
-  return v;
-}
-
 /// Byte-level layout assertions straight from docs/FORMAT.md.
 void checkHeaderLayout(const std::vector<std::byte>& s, u8 version) {
   ASSERT_GE(s.size(), core::StreamHeader::kBytes);
@@ -139,8 +133,8 @@ void checkHeaderLayout(const std::vector<std::byte>& s, u8 version) {
   EXPECT_EQ(std::to_integer<u8>(s[10]), 1u);  // mode: outlier
   EXPECT_EQ(std::to_integer<u8>(s[11]), 0u);  // predictor: first-order
   EXPECT_EQ(std::to_integer<u8>(s[12]), 32u); // block size
-  EXPECT_EQ(readLE64(s.data() + 16), 40u);    // element count
-  EXPECT_EQ(readLE64(s.data() + 24), bitCast<u64>(0.01));  // abs bound
+  EXPECT_EQ(loadLe<u64>(s.data() + 16), 40u);    // element count
+  EXPECT_EQ(loadLe<u64>(s.data() + 24), bitCast<u64>(0.01));  // abs bound
   // [32, 36): stream CRC, 0 = absent under the default config.
   EXPECT_EQ(std::to_integer<u8>(s[32]) | std::to_integer<u8>(s[33]) |
                 std::to_integer<u8>(s[34]) | std::to_integer<u8>(s[35]),

@@ -492,6 +492,7 @@ void CompressionService::workerLoop(u32 worker) {
   u64 seenFaultRelaunches = 0;
   for (;;) {
     std::vector<std::shared_ptr<detail::Job>> batch;
+    std::vector<u64> dispatchSeqs;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       workCv_.wait(lock, [&] {
@@ -505,11 +506,12 @@ void CompressionService::workerLoop(u32 worker) {
         lanes_.popBatch(*batch[0], batch, config_.maxBatchJobs - 1,
                         config_.maxBatchBytes);
       }
-      for (std::shared_ptr<detail::Job>& job : batch) {
-        job->dispatchSeq = ++dispatchSeq_;
+      dispatchSeqs.reserve(batch.size());
+      for (usize i = 0; i < batch.size(); ++i) {
+        dispatchSeqs.push_back(++dispatchSeq_);
       }
     }
-    execute(batch, stream, worker);
+    execute(batch, dispatchSeqs, stream, worker);
     const u64 detected = stream.faultsDetected();
     const u64 relaunches = stream.faultRelaunches();
     statStreamFaultsDetected_.fetch_add(detected - seenFaultsDetected,
@@ -523,7 +525,8 @@ void CompressionService::workerLoop(u32 worker) {
 
 void CompressionService::execute(
     std::vector<std::shared_ptr<detail::Job>>& batch,
-    core::CompressorStream& stream, u32 worker) {
+    const std::vector<u64>& dispatchSeqs, core::CompressorStream& stream,
+    u32 worker) {
   const auto dispatched = std::chrono::steady_clock::now();
   for (const std::shared_ptr<detail::Job>& job : batch) {
     job->attempt.fetch_add(1, std::memory_order_relaxed);
@@ -625,7 +628,7 @@ void CompressionService::execute(
     r.tenant = job.tenant;
     r.kind = job.kind;
     r.jobId = job.id;
-    r.dispatchSeq = job.dispatchSeq;
+    r.dispatchSeq = dispatchSeqs[i];
     r.batchJobs = static_cast<u32>(batch.size());
     r.worker = worker;
     r.device = stream.device().name;

@@ -400,7 +400,12 @@ class CompressionService {
   bool shutdownImpl(std::optional<std::chrono::milliseconds> deadline);
 
   void workerLoop(u32 worker);
+  /// Runs one dispatched batch. `dispatchSeqs[i]` is batch[i]'s global
+  /// dispatch ordinal, drawn under the scheduler mutex; it travels with
+  /// this execution rather than on the shared Job, which a watchdog twin
+  /// may be dispatching again on another worker meanwhile.
   void execute(std::vector<std::shared_ptr<detail::Job>>& batch,
+               const std::vector<u64>& dispatchSeqs,
                core::CompressorStream& stream, u32 worker);
   template <FloatingPoint T>
   void runCompress(std::vector<std::shared_ptr<detail::Job>>& batch,

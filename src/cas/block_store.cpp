@@ -536,7 +536,7 @@ std::unique_ptr<BlockStore> BlockStore::load(const std::string& path,
   const ConstByteSpan index = reader.field(kIndexField);
   require(index.size() >= 4, kTruncated);
   const ConstByteSpan body = index.subspan(0, index.size() - 4);
-  require(loadLe<u32>(body.data() + body.size()) == crc32(body),
+  require(loadLe<u32>(index.data() + body.size()) == crc32(body),
           "cas: index section fails its CRC guard");
 
   ByteReader cur(body, kTruncated);
@@ -558,7 +558,7 @@ std::unique_ptr<BlockStore> BlockStore::load(const std::string& path,
   // Eager whole-section guard: hash-bypassing reads (crcOf, re-save)
   // must never see corrupt payloads. get() still re-hashes each chunk,
   // which also covers damage that postdates this pass.
-  require(loadLe<u32>(payloads.data() + payloads.size()) == crc32(payloads),
+  require(loadLe<u32>(data.data() + payloads.size()) == crc32(payloads),
           "cas: data section fails its CRC trailer");
 
   std::vector<Hash128> table;

@@ -137,7 +137,7 @@ class ByteWriter {
  private:
   template <LeWord T>
   void put(T v) {
-    std::byte word[sizeof(T)];
+    std::byte word[sizeof(T)]{};
     storeLe<T>(word, v);
     out_.insert(out_.end(), word, word + sizeof(T));
   }
@@ -146,8 +146,9 @@ class ByteWriter {
 };
 
 /// Bounds-checked little-endian cursor over a byte span. A take* that runs
-/// past the end throws cuszp2::Error with the message the owner passed in,
-/// so each format keeps its own diagnostic.
+/// past the end throws cuszp2::Error with the message the owner passed in
+/// (static text: the reader keeps the pointer), so each format keeps its
+/// own diagnostic.
 class ByteReader {
  public:
   ByteReader(ConstByteSpan bytes, const char* truncatedError)

@@ -190,7 +190,7 @@ u64 walkLayoutAs(const StreamHeader& header, ConstByteSpan stream,
     const bool overrun = cursor + size > payloadAvail;
     const bool digestBad =
         digests && !overrun && blk < digestEnd && blk >= digestFirst &&
-        loadLE(footer + 2 * blk, 2) !=
+        loadLe<u16>(footer + 2 * blk) !=
             blockDigest(descs[blk], ConstByteSpan(payload + cursor, size));
     if (overrun || digestBad) [[unlikely]] {
       if (verdicts != nullptr) {
@@ -267,12 +267,12 @@ HuffTable parseDictionary(const char* api, const StreamHeader& header,
                           ConstByteSpan stream) {
   if (header.numBlocks() == 0) return {};
   const std::byte* dict = stream.data() + header.dictBegin();
-  const u32 tableBytes = loadLE(dict, 4);
+  const u32 tableBytes = loadLe<u32>(dict);
   require(8 + static_cast<usize>(tableBytes) == header.dictBytes,
           std::string(api) + ": dictionary section size mismatch — the "
           "stream is corrupted");
   const ConstByteSpan tableSpan(dict + 8, tableBytes);
-  require(crc32(tableSpan) == loadLE(dict + 4, 4),
+  require(crc32(tableSpan) == loadLe<u32>(dict + 4),
           std::string(api) + ": dictionary checksum mismatch — the shared "
           "Huffman table is corrupted");
   if (tableBytes == 0) return {};
@@ -572,9 +572,9 @@ void writeFooter(const StreamHeader& header, std::byte* stream,
         const usize size = descPayloadBytes<kV3>(
             unpackDescriptor<kV3>(descs + blk), psize, payload, cursor,
             payloadBytes);
-        storeLE(footer + 2 * blk,
-                blockDigest(descs[blk], ConstByteSpan(payload + cursor, size)),
-                2);
+        storeLe<u16>(
+            footer + 2 * blk,
+            blockDigest(descs[blk], ConstByteSpan(payload + cursor, size)));
         cursor += size;
       }
     });

@@ -230,10 +230,10 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
   std::byte* dict = staging + header.dictBegin();
   std::byte* payload = staging + payloadBegin;
 
-  storeLE(dict, header.dictBytes - 8, 4);
+  storeLe<u32>(dict, header.dictBytes - 8);
   const ConstByteSpan tableSpan(dict + 8, header.dictBytes - 8);
   if (sel.usesHuffman) table.serialize(dict + 8);
-  storeLE(dict + 4, crc32(tableSpan), 4);
+  storeLe<u32>(dict + 4, crc32(tableSpan));
 
   // Phase 2 — encode every block with its selected pipeline at its exact
   // precomputed offset and write the 1-byte descriptors. No inter-tile
@@ -276,13 +276,13 @@ Compressed CompressorStream::compressV3(std::span<const T> data) {
         case PipelineId::Huffman: {
           const usize body = encodeHuffmanBlock(
               r, table, outp + kV3EntropyPrefixBytes);
-          storeLE(outp, static_cast<u32>(body), 2);
+          storeLe<u16>(outp, static_cast<u16>(body));
           written = kV3EntropyPrefixBytes + body;
           break;
         }
         default: {  // Rle
           const usize body = encodeRleBlock(r, outp + kV3EntropyPrefixBytes);
-          storeLE(outp, static_cast<u32>(body), 2);
+          storeLe<u16>(outp, static_cast<u16>(body));
           written = kV3EntropyPrefixBytes + body;
           break;
         }

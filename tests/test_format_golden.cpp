@@ -379,19 +379,18 @@ std::vector<std::byte> bytePattern(usize n, u8 salt) {
   return v;
 }
 
-/// Two fields (the v1 and v2 golden streams) sealed with a parity trailer.
-std::vector<std::byte> pinnedArchiveBody() {
+/// Two fields: the v1 and v2 golden streams.
+io::ArchiveWriter pinnedArchiveWriter() {
   io::ArchiveWriter writer;
   writer.addField("v1", fromHex(kGoldenV1));
   writer.addField("v2", fromHex(kGoldenV2));
-  return writer.finalize();
+  return writer;
 }
 
+/// The two fields sealed with a parity trailer.
 std::vector<std::byte> pinnedArchive() {
-  io::ArchiveWriter writer;
-  writer.addField("v1", fromHex(kGoldenV1));
-  writer.addField("v2", fromHex(kGoldenV2));
-  return writer.finalize(io::ParityOptions{.chunkBytes = 32, .groupSize = 3});
+  return pinnedArchiveWriter().finalize(
+      io::ParityOptions{.chunkBytes = 32, .groupSize = 3});
 }
 
 /// The 40 golden values in segments of 32: one full segment and one of 8.
@@ -509,7 +508,7 @@ std::vector<std::byte> prefix(const std::vector<std::byte>& full, usize n) {
 
 TEST(ContainerTruncation, ArchivePrefixesThrowOrLoseTheTrailer) {
   const auto full = pinnedArchive();
-  const usize body = pinnedArchiveBody().size();
+  const usize body = pinnedArchiveWriter().finalize().size();
   ASSERT_LT(body, full.size());
   ASSERT_TRUE(io::verifyParity(full).trailerOk);
   for (usize n = 0; n < full.size(); ++n) {

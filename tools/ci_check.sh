@@ -9,10 +9,13 @@
 #      reuse paths that a Release run would silently survive. Restricted
 #      to the fast label: the property sweeps re-run identical codec
 #      paths and would dominate sanitizer wall time.
+#   3. RelWithDebInfo + TSan — data races in the scheduler, watchdog,
+#      cluster, CAS and journal threads (fast, cas and durability labels,
+#      the three soaks and the crash drill).
 #
 # Usage: tools/ci_check.sh [jobs]
-# Build trees land in build-ci-release/ and build-ci-asan/ under the repo
-# root so the default build/ directory is left untouched.
+# Build trees land in build-ci-release/, build-ci-asan/ and build-ci-tsan/
+# under the repo root so the default build/ directory is left untouched.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -193,6 +196,24 @@ echo "==== [release] crash drill (seed 4242) ===="
 "${repo_root}/build-ci-release/tools/crash_drill" --seed 4242
 echo "==== [asan] crash drill (seed 20260809, fast) ===="
 "${repo_root}/build-ci-asan/tools/crash_drill" --seed 20260809 --fast
+
+# ThreadSanitizer leg. The lookback atomics, the commit/watchdog
+# arbitration, the compaction thread and the supervisor's kill/steal paths
+# only show a data race under a race detector. Plain compiler and linker
+# flags (no CMake option); RelWithDebInfo keeps the soaks affordable and
+# the reports symbolized. Every run halts on its first report.
+export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
+run_config tsan "-L fast|cas|durability" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread
+echo "==== [tsan] chaos soak (seed 20260805, fast) ===="
+"${repo_root}/build-ci-tsan/tools/chaos_soak" --seed 20260805 --fast
+echo "==== [tsan] cluster soak (seed 20260805, fast) ===="
+"${repo_root}/build-ci-tsan/tools/chaos_soak" --cluster --seed 20260805 --fast
+echo "==== [tsan] cas soak (seed 20260805, fast) ===="
+"${repo_root}/build-ci-tsan/tools/chaos_soak" --cas --seed 20260805 --fast
+echo "==== [tsan] crash drill (seed 20260809, fast) ===="
+"${repo_root}/build-ci-tsan/tools/crash_drill" --seed 20260809 --fast
 
 # perfbench's Python side (percentiles, span self-time breakdowns, the
 # open-loop clock, CPU slices, BENCHMARK.json metric names) has its own

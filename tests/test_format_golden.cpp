@@ -579,14 +579,14 @@ TEST(ContainerTruncation, JournalPrefixesReplayToTheLastWholeRecord) {
       continue;
     }
     const io::ReplayResult r = io::replayJournal(path);
-    usize whole_records = 0;
-    while (whole_records + 1 < ends.size() && ends[whole_records + 1] <= n) {
-      ++whole_records;
+    usize wholeRecords = 0;
+    while (wholeRecords + 1 < ends.size() && ends[wholeRecords + 1] <= n) {
+      ++wholeRecords;
     }
-    EXPECT_EQ(r.records.size(), whole_records) << n;
-    EXPECT_EQ(r.validBytes, ends[whole_records]) << n;
-    EXPECT_EQ(r.torn, n != ends[whole_records]) << n;
-    EXPECT_EQ(r.discardedBytes, n - ends[whole_records]) << n;
+    EXPECT_EQ(r.records.size(), wholeRecords) << n;
+    EXPECT_EQ(r.validBytes, ends[wholeRecords]) << n;
+    EXPECT_EQ(r.torn, n != ends[wholeRecords]) << n;
+    EXPECT_EQ(r.discardedBytes, n - ends[wholeRecords]) << n;
   }
 }
 

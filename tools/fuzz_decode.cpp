@@ -37,6 +37,8 @@
 #include "common/rng.hpp"
 #include "core/compressor.hpp"
 
+#include "drill.hpp"
+
 using namespace cuszp2;
 
 namespace {
@@ -219,30 +221,7 @@ std::string mutate(Rng& rng, std::vector<std::byte>& s) {
   }
 }
 
-/// FNV-1a over everything fed to it.
-class Fingerprint {
- public:
-  void bytes(const void* data, usize n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (usize i = 0; i < n; ++i) {
-      h_ = (h_ ^ p[i]) * 0x100000001B3ull;
-    }
-  }
-  void num(u64 v) { bytes(&v, sizeof(v)); }
-  void text(const std::string& s) {
-    num(s.size());
-    bytes(s.data(), s.size());
-  }
-  template <typename T>
-  void values(const std::vector<T>& v) {
-    num(v.size());
-    bytes(v.data(), v.size() * sizeof(T));
-  }
-  u64 value() const { return h_; }
-
- private:
-  u64 h_ = 0xCBF29CE484222325ull;
-};
+using drill::Fingerprint;
 
 struct Tally {
   u64 strictRejected = 0;

@@ -12,22 +12,12 @@
 namespace cuszp2::cluster {
 
 ShardFault ShardChaosSchedule::decide(const ShardProbeInfo& info) const {
-  ShardFault fault;
-  // Whiten (seed, shard, heartbeat) into an independent stream per
-  // probe; same recipe as SeededChaosSchedule so the two layers'
-  // schedules never correlate by accident.
-  SplitMix64 mix(config_.seed ^
-                 ((u64{info.shard} + 1) * 0x9E3779B97F4A7C15ull) ^
-                 (info.heartbeat * 0xD1B54A32D192ED03ull));
-  Rng rng(mix.next());
-  const f64 u = rng.uniform();
-  f64 edge = config_.killRate;
-  if (u < edge) {
-    fault.mode = ShardFault::Mode::Kill;
-  } else if (u < (edge += config_.degradeRate)) {
-    fault.mode = ShardFault::Mode::Degrade;
-  }
-  return fault;
+  Rng rng(keyedStream(config_.seed, u64{info.shard} + 1, info.heartbeat)
+              .next());
+  static constexpr ShardFault::Mode kModes[] = {ShardFault::Mode::Kill,
+                                                ShardFault::Mode::Degrade,
+                                                ShardFault::Mode::None};
+  return ShardFault{kModes[rates_.pick(rng.uniform())]};
 }
 
 namespace detail {

@@ -45,6 +45,7 @@
 
 #include "cas/block_store.hpp"
 #include "cluster/ring.hpp"
+#include "common/rng.hpp"
 #include "io/archive.hpp"
 #include "service/service.hpp"
 
@@ -98,8 +99,10 @@ struct ShardChaosConfig {
 /// shard-level analogue of service::SeededChaosSchedule.
 class ShardChaosSchedule {
  public:
+  /// Throws when a rate is negative or NaN or the two sum past 1.
   explicit ShardChaosSchedule(ShardChaosConfig config = {})
-      : config_(config) {}
+      : config_(config),
+        rates_({config.killRate, config.degradeRate}, "ShardChaosSchedule") {}
 
   ShardFault decide(const ShardProbeInfo& info) const;
 
@@ -112,6 +115,7 @@ class ShardChaosSchedule {
 
  private:
   ShardChaosConfig config_;
+  RateCascade<2> rates_;  ///< kill first, then degrade
 };
 
 struct ClusterConfig {

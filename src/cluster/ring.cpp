@@ -17,11 +17,9 @@ void ConsistentHashRing::addShard(u32 shard) {
   if (contains(shard)) return;
   points_.reserve(points_.size() + vnodes_);
   for (u32 v = 0; v < vnodes_; ++v) {
-    // Golden-ratio stride decorrelates (shard, vnode) pairs before the
-    // SplitMix64 finalizer; +1 keeps shard 0 / vnode 0 off the seed.
-    SplitMix64 mix(seed_ ^ ((u64{shard} + 1) * 0x9E3779B97F4A7C15ull) ^
-                   ((u64{v} + 1) * 0xD1B54A32D192ED03ull));
-    points_.push_back(VNode{mix.next(), shard});
+    // +1 keeps shard 0 / vnode 0 off the bare seed.
+    points_.push_back(
+        VNode{keyedStream(seed_, u64{shard} + 1, u64{v} + 1).next(), shard});
   }
   std::sort(points_.begin(), points_.end(),
             [](const VNode& a, const VNode& b) {

@@ -193,6 +193,15 @@ void Launcher::noteLaunchTrace(telemetry::TraceSession& session,
   trace->complete(name, result.wallSeconds * 1e6, std::move(args));
 }
 
+const char* faultModeName(const FaultPlan& plan) {
+  if (plan.bitFlips > 0) return "bit_flip";
+  if (plan.abortBlock >= 0) return "abort";
+  if (plan.stallTicks > 0) return "stall";
+  if (plan.wedgeTicks > 0) return "wedge";
+  if (plan.arenaBudgetBytes > 0) return "arena_exhaust";
+  return "none";
+}
+
 std::optional<u64> Launcher::takeArenaFault() {
   if (!faultPlan_ || faultPlan_->arenaBudgetBytes == 0) return std::nullopt;
   if (!faultActive(launchCount())) return std::nullopt;
@@ -217,7 +226,7 @@ bool Launcher::faultActive(u64 launchIdx) const {
 void Launcher::injectWriteFaults(u64 launchIdx, std::span<std::byte> target,
                                  LaunchResult& result) const {
   if (!faultPlan_ || faultPlan_->bitFlips == 0 || target.empty()) return;
-  Rng rng(SplitMix64(faultPlan_->seed ^ (launchIdx - faultPlan_->triggerLaunch))
+  Rng rng(keyedStream(faultPlan_->seed, launchIdx - faultPlan_->triggerLaunch)
               .next());
   for (u32 i = 0; i < faultPlan_->bitFlips; ++i) {
     const usize pos = rng.uniformInt(target.size());

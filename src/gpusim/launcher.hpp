@@ -109,7 +109,14 @@ struct FaultPlan {
   /// arena throw — the resource-exhaustion mode.
   u64 arenaBudgetBytes = 0;
   bool sticky = false;
+
+  bool operator==(const FaultPlan&) const = default;
 };
+
+/// The fault mode a plan arms, as trace args name it: "bit_flip",
+/// "abort", "stall", "wedge", "arena_exhaust", or "none" for a plan that
+/// arms nothing.
+const char* faultModeName(const FaultPlan& plan);
 
 class Launcher {
  public:

@@ -90,7 +90,7 @@ CrashAction crashCheckpoint(CrashSite site, const std::string& path,
       action.mode != CrashMode::Drop) {
     // Seeded, schedule-independent tear shape: prefix length and garbage
     // derive from (seed, op) alone.
-    SplitMix64 mix(g.plan->seed ^ (op * 0x9e3779b97f4a7c15ULL));
+    SplitMix64 mix = keyedStream(g.plan->seed, op);
     action.keepBytes = static_cast<usize>(mix.next() % pendingBytes);
     if (action.mode == CrashMode::Tear) {
       const usize tail = pendingBytes - action.keepBytes;

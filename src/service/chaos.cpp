@@ -1,54 +1,38 @@
 #include "service/chaos.hpp"
 
-#include "common/rng.hpp"
+#include <algorithm>
 
 namespace cuszp2::service {
 
 SeededChaosSchedule::SeededChaosSchedule(ChaosConfig config)
-    : config_(config) {
-  const f64 sum = config_.bitFlipRate + config_.abortRate +
-                  config_.stallRate + config_.wedgeRate + config_.arenaRate;
-  require(config_.bitFlipRate >= 0 && config_.abortRate >= 0 &&
-              config_.stallRate >= 0 && config_.wedgeRate >= 0 &&
-              config_.arenaRate >= 0 && sum <= 1.0 + 1e-9,
-          "SeededChaosSchedule: fault rates must be >= 0 and sum to <= 1");
-}
+    : config_(std::move(config)),
+      rates_({config_.bitFlipRate, config_.abortRate, config_.stallRate,
+              config_.wedgeRate, config_.arenaRate},
+             "SeededChaosSchedule") {}
 
-ChaosFault SeededChaosSchedule::decide(const ChaosJobInfo& info) const {
-  ChaosFault fault;
-  if (info.attempt >= config_.faultedAttempts) return fault;
+std::optional<gpusim::FaultPlan> SeededChaosSchedule::decide(
+    const ChaosJobInfo& info) const {
+  if (info.attempt != 0) return std::nullopt;  // retries run clean
   if (!config_.exemptTenant.empty() &&
       info.tenant == config_.exemptTenant) {
-    return fault;
+    return std::nullopt;
   }
 
-  // Whiten (seed, jobId, attempt) into an independent per-attempt stream;
-  // Golden-ratio multiply decorrelates consecutive job ids.
-  SplitMix64 mix(config_.seed ^ (info.jobId * 0x9E3779B97F4A7C15ull) ^
-                 (u64{info.attempt} << 32));
+  SplitMix64 mix = keyedStream(config_.seed, info.jobId);
   Rng rng(mix.next());
-  const f64 u = rng.uniform();
-
-  f64 edge = config_.bitFlipRate;
-  if (u < edge) {
-    fault.mode = ChaosFault::Mode::BitFlip;
-    fault.bitFlips = config_.bitFlips;
-  } else if (u < (edge += config_.abortRate)) {
-    fault.mode = ChaosFault::Mode::Abort;
-  } else if (u < (edge += config_.stallRate)) {
-    fault.mode = ChaosFault::Mode::Stall;
-    fault.stallTicks = config_.stallTicks;
-  } else if (u < (edge += config_.wedgeRate)) {
-    fault.mode = ChaosFault::Mode::Wedge;
-    fault.wedgeTicks = config_.wedgeTicks;
-  } else if (u < (edge += config_.arenaRate)) {
-    fault.mode = ChaosFault::Mode::ArenaExhaust;
-    fault.arenaBudgetBytes = config_.arenaBudgetBytes;
-  } else {
-    return fault;  // clean attempt
+  gpusim::FaultPlan plan;
+  switch (rates_.pick(rng.uniform())) {
+    case 0: plan.bitFlips = std::max<u32>(1, config_.bitFlips); break;
+    case 1: plan.abortBlock = 0; break;
+    case 2: plan.stallTicks = std::max<u32>(1, config_.stallTicks); break;
+    case 3: plan.wedgeTicks = std::max<u32>(1, config_.wedgeTicks); break;
+    case 4:
+      plan.arenaBudgetBytes = std::max<u64>(1, config_.arenaBudgetBytes);
+      break;
+    default: return std::nullopt;  // clean attempt
   }
-  fault.seed = mix.next();  // bit-flip positions etc., also deterministic
-  return fault;
+  plan.seed = mix.next();  // bit-flip positions etc., also deterministic
+  return plan;
 }
 
 ChaosHook SeededChaosSchedule::hook() const {

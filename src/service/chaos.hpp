@@ -1,17 +1,21 @@
 // Seeded chaos schedule for service fault drills: a pure function
-// (seed, jobId, attempt) -> ChaosFault, so the same seed reproduces the
-// exact same fault injections — and therefore the same recovery counters
-// — across runs. Used by tools/chaos_soak and `cuszp2 serve --chaos-seed`.
+// (seed, jobId, attempt) -> optional gpusim::FaultPlan, so the same seed
+// reproduces the exact same fault injections — and therefore the same
+// recovery counters — across runs. Used by tools/chaos_soak and
+// `cuszp2 serve --chaos-seed`.
 #pragma once
 
+#include <optional>
 #include <string>
 
+#include "common/rng.hpp"
+#include "gpusim/launcher.hpp"
 #include "service/service.hpp"
 
 namespace cuszp2::service {
 
-/// Knobs of a SeededChaosSchedule. Rates are per dispatch attempt and
-/// must sum to <= 1; the remainder is the fault-free probability.
+/// Knobs of a SeededChaosSchedule. Rates are per first dispatch attempt
+/// and must sum to <= 1; the remainder is the fault-free probability.
 struct ChaosConfig {
   u64 seed = 1;
 
@@ -28,25 +32,25 @@ struct ChaosConfig {
   /// scratch allocation throws (tiny decompresses use < 256 arena bytes).
   u64 arenaBudgetBytes = 1;
 
-  /// Dispatch attempts eligible for faults (1 = only the first attempt,
-  /// so retries always run clean and every job eventually resolves).
-  u32 faultedAttempts = 1;
-
   /// Tenant never injected against (a soak's poison tenant carries its
   /// own pre-corrupted payloads; faulting it too would blur the breaker
   /// assertion).
   std::string exemptTenant;
 };
 
-/// Deterministic per-attempt fault decisions. Copyable by value; the
-/// hook() adapter captures a copy, so the schedule may go out of scope.
+/// Deterministic fault decisions. Only a job's first dispatch attempt
+/// may be faulted, so retries always run clean and every job eventually
+/// resolves. Copyable by value; the hook() adapter captures a copy, so
+/// the schedule may go out of scope.
 class SeededChaosSchedule {
  public:
+  /// Throws when a rate is negative or NaN or the rates sum past 1.
   explicit SeededChaosSchedule(ChaosConfig config = {});
 
   /// Pure decision for one dispatch attempt. Identical inputs always
-  /// yield the identical fault (mode, parameters, and FaultPlan seed).
-  ChaosFault decide(const ChaosJobInfo& info) const;
+  /// yield the identical plan (mode, parameters and seed); the service
+  /// stamps its triggerLaunch.
+  std::optional<gpusim::FaultPlan> decide(const ChaosJobInfo& info) const;
 
   /// Adapter binding decide() as a ServiceConfig::chaosHook (copies this
   /// schedule by value).
@@ -56,6 +60,7 @@ class SeededChaosSchedule {
 
  private:
   ChaosConfig config_;
+  RateCascade<5> rates_;
 };
 
 }  // namespace cuszp2::service

@@ -16,17 +16,6 @@ f64 microsBetween(std::chrono::steady_clock::time_point from,
   return std::chrono::duration<f64, std::micro>(to - from).count();
 }
 
-const char* chaosModeName(ChaosFault::Mode mode) {
-  switch (mode) {
-    case ChaosFault::Mode::BitFlip: return "bit_flip";
-    case ChaosFault::Mode::Abort: return "abort";
-    case ChaosFault::Mode::Stall: return "stall";
-    case ChaosFault::Mode::Wedge: return "wedge";
-    case ChaosFault::Mode::ArenaExhaust: return "arena_exhaust";
-    default: return "none";
-  }
-}
-
 }  // namespace
 
 CompressionService::CompressionService(ServiceConfig config)
@@ -544,10 +533,8 @@ void CompressionService::execute(
     ChaosJobInfo info;
     info.jobId = head.id;
     info.tenant = head.tenant;
-    info.kind = head.kind;
-    info.inputBytes = head.input.size();
     info.attempt = head.attempt.load(std::memory_order_relaxed) - 1;
-    armChaosFault(stream, config_.chaosHook(info));
+    armChaosPlan(stream, config_.chaosHook(info));
   }
 
   if (config_.watchdog.enabled) {
@@ -829,41 +816,20 @@ void CompressionService::finishJob(detail::Job& job, JobResult result,
   job.notifyWaiters();
 }
 
-void CompressionService::armChaosFault(core::CompressorStream& stream,
-                                       const ChaosFault& fault) {
+void CompressionService::armChaosPlan(
+    core::CompressorStream& stream, std::optional<gpusim::FaultPlan> plan) {
   stream.launcher().clearFaultPlan();
-  if (fault.mode == ChaosFault::Mode::None) return;
-  gpusim::FaultPlan plan;
-  plan.seed = fault.seed;
+  if (!plan) return;
   // Fire on the operation's first launch: the next index this stream's
   // launcher will hand out.
-  plan.triggerLaunch = stream.launcher().launchCount();
-  switch (fault.mode) {
-    case ChaosFault::Mode::BitFlip:
-      plan.bitFlips = std::max<u32>(1, fault.bitFlips);
-      break;
-    case ChaosFault::Mode::Abort:
-      plan.abortBlock = 0;
-      break;
-    case ChaosFault::Mode::Stall:
-      plan.stallTicks = std::max<u32>(1, fault.stallTicks);
-      break;
-    case ChaosFault::Mode::Wedge:
-      plan.wedgeTicks = std::max<u32>(1, fault.wedgeTicks);
-      break;
-    case ChaosFault::Mode::ArenaExhaust:
-      plan.arenaBudgetBytes = std::max<u64>(1, fault.arenaBudgetBytes);
-      break;
-    default:
-      return;
-  }
-  stream.launcher().setFaultPlan(plan);
+  plan->triggerLaunch = stream.launcher().launchCount();
+  stream.launcher().setFaultPlan(*plan);
   statChaosInjected_.fetch_add(1, std::memory_order_relaxed);
   instruments_.chaosInjected->add(1);
   if (telemetry::TraceSession* trace = telemetry::activeTrace()) {
     trace->instant("service.chaos.inject",
                    {telemetry::TraceArg::str("mode",
-                                             chaosModeName(fault.mode))});
+                                             gpusim::faultModeName(*plan))});
   }
 }
 
@@ -911,9 +877,7 @@ void CompressionService::backoffSleep(u64 jobId, u32 attempt) const {
                                    std::max<u64>(1, config_.retry.backoffCapMillis));
   // Full jitter, deterministic per (seed, job, attempt): decorrelates
   // retry storms without sacrificing reproducibility.
-  Rng rng(SplitMix64(config_.retry.jitterSeed ^
-                     (jobId * 0x9E3779B97F4A7C15ull) ^ attempt)
-              .next());
+  Rng rng(keyedStream(config_.retry.jitterSeed, jobId, attempt).next());
   const u64 millis = 1 + rng.uniformInt(capped);
   std::this_thread::sleep_for(std::chrono::milliseconds(millis));
 }

@@ -47,6 +47,7 @@
 
 #include "cas/block_store.hpp"
 #include "gpusim/device_spec.hpp"
+#include "gpusim/launcher.hpp"
 #include "service/job.hpp"
 #include "service/queue.hpp"
 #include "telemetry/metrics.hpp"
@@ -113,42 +114,24 @@ constexpr const char* toString(BreakerState s) {
   }
 }
 
-/// One injected fault decision for a dispatch attempt (returned by a
-/// ChaosHook; armed as a gpusim::FaultPlan on the executing stream).
-struct ChaosFault {
-  enum class Mode : u8 {
-    None = 0,
-    BitFlip,       ///< flip bits in the kernel's written bytes
-    Abort,         ///< a thread block throws mid-launch
-    Stall,         ///< the launch hangs before any block runs
-    Wedge,         ///< a pool worker stops draining mid-grid
-    ArenaExhaust,  ///< the operation's scratch arena refuses to grow
-  };
-  Mode mode = Mode::None;
-  u32 bitFlips = 0;         ///< BitFlip
-  u32 stallTicks = 0;       ///< Stall (1 tick = 1 ms)
-  u32 wedgeTicks = 0;       ///< Wedge
-  u64 arenaBudgetBytes = 0; ///< ArenaExhaust
-  u64 seed = 1;             ///< FaultPlan seed (bit-flip positions)
-};
-
 /// What a ChaosHook learns about the dispatch attempt it may fault.
 struct ChaosJobInfo {
   u64 jobId = 0;
   std::string_view tenant;
-  JobKind kind = JobKind::Compress;
-  u64 inputBytes = 0;
   /// 0-based dispatch attempt (service retries and watchdog relaunches
   /// increment it).
   u32 attempt = 0;
 };
 
-/// Consulted once per dispatched batch (for its head job) when set; the
-/// returned fault is armed on the executing worker's stream for exactly
-/// that execution. Must be a pure function of its input for reproducible
-/// chaos runs (see SeededChaosSchedule in service/chaos.hpp). Called
+/// Consulted once per dispatched batch (for its head job) when set. A
+/// returned plan is armed on the executing worker's stream for exactly
+/// that execution: the service stamps its triggerLaunch with the
+/// stream's next launch, so the fault fires on the operation's first
+/// kernel. Must be a pure function of its input for reproducible chaos
+/// runs (see SeededChaosSchedule in service/chaos.hpp). Called
 /// concurrently from worker threads.
-using ChaosHook = std::function<ChaosFault(const ChaosJobInfo&)>;
+using ChaosHook =
+    std::function<std::optional<gpusim::FaultPlan>(const ChaosJobInfo&)>;
 
 struct ServiceConfig {
   /// Worker threads; worker i is pinned to devices[i % devices.size()].
@@ -419,8 +402,8 @@ class CompressionService {
   void finishJob(detail::Job& job, JobResult result, bool abandoned);
 
   // Fault-tolerance machinery.
-  void armChaosFault(core::CompressorStream& stream,
-                     const ChaosFault& fault);
+  void armChaosPlan(core::CompressorStream& stream,
+                     std::optional<gpusim::FaultPlan> plan);
   void requeueSolo(std::shared_ptr<detail::Job> job);
   /// Requeues a job whose phase the caller already moved back to Queued,
   /// or — once the shutdown drain has abandoned the lanes — resolves it

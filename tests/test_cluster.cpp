@@ -20,9 +20,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -419,6 +421,26 @@ TEST(ClusterTest, SeededChaosDrillIsDeterministic) {
 
 // ---------------------------------------------------------------------
 // Supervision ladder
+
+// The shard schedule validates its rates as the service schedule does:
+// a negative, NaN or over-unity rate would silently skew a drill.
+TEST(ClusterTest, ShardChaosScheduleRejectsInvalidRates) {
+  const f64 nan = std::numeric_limits<f64>::quiet_NaN();
+  const std::pair<f64, f64> invalid[] = {
+      {-0.1, 0.0}, {0.0, -0.1}, {nan, 0.0}, {0.0, nan}, {1.5, 0.0},
+      {0.6, 0.6}};
+  for (const auto& [kill, degrade] : invalid) {
+    cluster::ShardChaosConfig chaos;
+    chaos.killRate = kill;
+    chaos.degradeRate = degrade;
+    EXPECT_THROW(cluster::ShardChaosSchedule{chaos}, Error)
+        << "kill " << kill << " degrade " << degrade;
+  }
+  cluster::ShardChaosConfig full;
+  full.killRate = 0.5;
+  full.degradeRate = 0.5;
+  EXPECT_NO_THROW(cluster::ShardChaosSchedule{full});
+}
 
 TEST(ClusterTest, DegradedShardIsRoutedAroundThenEscalatesToDown) {
   telemetry::registry().setEnabled(false);

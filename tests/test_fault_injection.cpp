@@ -287,6 +287,26 @@ TEST(FaultPlan, FiresOnlyOnTriggerLaunch) {
   EXPECT_EQ(r.injectedBitFlips, 0u);  // launch 2: non-sticky, disarmed
 }
 
+// The service's chaos trace names a plan's mode from the plan itself.
+TEST(FaultPlan, ModeNameFollowsTheArmedField) {
+  gpusim::FaultPlan plan;
+  EXPECT_STREQ(gpusim::faultModeName(plan), "none");
+  plan.arenaBudgetBytes = 1;
+  EXPECT_STREQ(gpusim::faultModeName(plan), "arena_exhaust");
+  plan = {};
+  plan.wedgeTicks = 1;
+  EXPECT_STREQ(gpusim::faultModeName(plan), "wedge");
+  plan = {};
+  plan.stallTicks = 1;
+  EXPECT_STREQ(gpusim::faultModeName(plan), "stall");
+  plan = {};
+  plan.abortBlock = 0;
+  EXPECT_STREQ(gpusim::faultModeName(plan), "abort");
+  plan = {};
+  plan.bitFlips = 1;
+  EXPECT_STREQ(gpusim::faultModeName(plan), "bit_flip");
+}
+
 struct RetryFixture {
   std::vector<f32> data = datagen::generateF32("scale", 2, 1 << 12);
   core::CompressorStream stream;

@@ -654,10 +654,11 @@ core::Config faultTolerantConfig() {
 }
 
 /// A hook faulting exactly the given job id's first attempt.
-service::ChaosHook faultJobOnce(u64 jobId, service::ChaosFault fault) {
-  return [jobId, fault](const service::ChaosJobInfo& info) {
+service::ChaosHook faultJobOnce(u64 jobId, gpusim::FaultPlan fault) {
+  return [jobId, fault](const service::ChaosJobInfo& info)
+             -> std::optional<gpusim::FaultPlan> {
     if (info.jobId == jobId && info.attempt == 0) return fault;
-    return service::ChaosFault{};
+    return std::nullopt;
   };
 }
 
@@ -756,8 +757,7 @@ TEST(ServiceTest, WatchdogRecoversWedgedJobOnAnotherWorker) {
   scfg.watchdog.pollMillis = 5;
   scfg.watchdog.minTimeoutMillis = 30;
   scfg.watchdog.maxRecoveries = 1;
-  service::ChaosFault wedge;
-  wedge.mode = service::ChaosFault::Mode::Wedge;
+  gpusim::FaultPlan wedge;
   wedge.wedgeTicks = 300;  // 300 ms >> the 30 ms watchdog deadline
   scfg.chaosHook = faultJobOnce(1, wedge);
   service::CompressionService svc(scfg);
@@ -794,8 +794,7 @@ TEST(ServiceTest, RetryAbsorbsTransientArenaExhaustion) {
   scfg.startPaused = true;
   scfg.maxBatchJobs = 1;
   scfg.retry.maxAttempts = 2;
-  service::ChaosFault fault;
-  fault.mode = service::ChaosFault::Mode::ArenaExhaust;
+  gpusim::FaultPlan fault;
   fault.arenaBudgetBytes = 1;
   scfg.chaosHook = faultJobOnce(1, fault);
   service::CompressionService svc(scfg);
@@ -824,10 +823,9 @@ TEST(ServiceTest, RetriesExhaustedFailsCompressJob) {
   scfg.retry.maxAttempts = 2;
   scfg.retry.backoffBaseMillis = 0;  // no backoff: keep the test fast
   scfg.chaosHook = [](const service::ChaosJobInfo&) {
-    service::ChaosFault fault;  // every attempt, every job
-    fault.mode = service::ChaosFault::Mode::ArenaExhaust;
+    gpusim::FaultPlan fault;  // every attempt, every job
     fault.arenaBudgetBytes = 1;
-    return fault;
+    return std::optional<gpusim::FaultPlan>(fault);
   };
   service::CompressionService svc(scfg);
 
@@ -856,8 +854,7 @@ TEST(ServiceTest, RetryRequeueAfterDrainResolvesAbandoned) {
   // deterministically gives shutdown time to sweep the lanes first.
   u64 jitterSeed = 0;
   for (u64 s = 0;; ++s) {
-    Rng rng(SplitMix64(s ^ (u64{1} * 0x9E3779B97F4A7C15ull) ^ u64{1})
-                .next());
+    Rng rng(keyedStream(s, /*jobId=*/1, /*attempt=*/1).next());
     if (1 + rng.uniformInt(500) >= 400) {
       jitterSeed = s;
       break;
@@ -871,8 +868,7 @@ TEST(ServiceTest, RetryRequeueAfterDrainResolvesAbandoned) {
   scfg.retry.backoffBaseMillis = 500;
   scfg.retry.backoffCapMillis = 500;
   scfg.retry.jitterSeed = jitterSeed;
-  service::ChaosFault fault;
-  fault.mode = service::ChaosFault::Mode::ArenaExhaust;
+  gpusim::FaultPlan fault;
   fault.arenaBudgetBytes = 1;
   scfg.chaosHook = faultJobOnce(1, fault);
   service::CompressionService svc(scfg);
@@ -1141,17 +1137,16 @@ TEST(ServiceTest, ChaosScheduleIsDeterministicAndExempting) {
     info.jobId = id;
     info.tenant = "t";
     info.attempt = 0;
-    const service::ChaosFault a = schedule.decide(info);
-    const service::ChaosFault b = schedule.decide(info);
-    EXPECT_EQ(a.mode, b.mode);
-    EXPECT_EQ(a.seed, b.seed);
-    if (a.mode != service::ChaosFault::Mode::None) ++faulted;
+    const std::optional<gpusim::FaultPlan> a = schedule.decide(info);
+    const std::optional<gpusim::FaultPlan> b = schedule.decide(info);
+    EXPECT_EQ(a, b);
+    if (a) ++faulted;
 
     info.tenant = "safe";  // exempt tenant: never faulted
-    EXPECT_EQ(schedule.decide(info).mode, service::ChaosFault::Mode::None);
+    EXPECT_FALSE(schedule.decide(info).has_value());
     info.tenant = "t";
-    info.attempt = 1;  // beyond faultedAttempts: retries run clean
-    EXPECT_EQ(schedule.decide(info).mode, service::ChaosFault::Mode::None);
+    info.attempt = 1;  // only first attempts: retries run clean
+    EXPECT_FALSE(schedule.decide(info).has_value());
   }
   // ~45% of attempts faulted at the default rates; 200 draws cannot
   // plausibly land outside [40, 140].
@@ -1161,6 +1156,8 @@ TEST(ServiceTest, ChaosScheduleIsDeterministicAndExempting) {
   service::ChaosConfig invalid;
   invalid.bitFlipRate = 0.9;
   invalid.abortRate = 0.9;
+  EXPECT_THROW(service::SeededChaosSchedule{invalid}, Error);
+  invalid.abortRate = std::numeric_limits<f64>::quiet_NaN();
   EXPECT_THROW(service::SeededChaosSchedule{invalid}, Error);
 }
 

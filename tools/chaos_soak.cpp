@@ -68,6 +68,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -216,16 +217,11 @@ Forecast forecast(u64 seed, const std::vector<JobSpec>& specs) {
     service::ChaosJobInfo info;
     info.jobId = i + 1;
     info.tenant = specs[i].tenant;
-    info.kind = specs[i].kind;
-    info.attempt = 0;
-    const service::ChaosFault fault = schedule.decide(info);
-    using Mode = service::ChaosFault::Mode;
-    if (fault.mode == Mode::None) continue;
+    const std::optional<gpusim::FaultPlan> plan = schedule.decide(info);
+    if (!plan) continue;
     ++f.injected;
-    if (fault.mode == Mode::Stall || fault.mode == Mode::Wedge) {
-      ++f.stallsAndWedges;
-    }
-    if (fault.mode == Mode::ArenaExhaust) ++f.arenaFaults;
+    if (plan->stallTicks > 0 || plan->wedgeTicks > 0) ++f.stallsAndWedges;
+    if (plan->arenaBudgetBytes > 0) ++f.arenaFaults;
   }
   return f;
 }
@@ -544,8 +540,7 @@ drill::Run runCasOnce(u64 seed, u32 rounds) {
   // Seeded mid-compaction kill: pure in (seed, sweep, candidate), so two
   // same-seed runs abort the same sweeps at the same candidate.
   ccfg.chaosAbort = [seed](u64 sweep, usize candidate) {
-    SplitMix64 mix(seed ^ (sweep * 0x9E3779B9ull + candidate));
-    return mix.next() % 4 == 0;
+    return keyedStream(seed, sweep, candidate).next() % 4 == 0;
   };
   cas::CompactionWorker worker(store, ccfg);
 

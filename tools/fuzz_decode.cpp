@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
   Fingerprint fp;
   Tally tally;
   for (u64 i = 0; i < iterations; ++i) {
-    Rng rng(SplitMix64(seed ^ (i * 0x9E3779B97F4A7C15ull)).next());
+    Rng rng(keyedStream(seed, i).next());
     const BaseStream& base = pool[rng.uniformInt(pool.size())];
     std::vector<std::byte> mutant = base.bytes;
     const std::string what = mutate(rng, mutant);

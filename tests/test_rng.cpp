@@ -2,9 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace cuszp2 {
@@ -144,12 +142,6 @@ TEST(KeyedStream, MatchesEveryLegacyMixAtItsKeys) {
   }
 }
 
-TEST(KeyedStream, KeysAreNotInterchangeable) {
-  EXPECT_NE(keyedStream(5, 1, 2).next(), keyedStream(5, 2, 1).next());
-  EXPECT_NE(keyedStream(5, 1).next(), keyedStream(5, 0, 1).next());
-  EXPECT_NE(keyedStream(5, 1).next(), keyedStream(6, 1).next());
-}
-
 TEST(RateCascade, PicksEdgeCascadedOutcomes) {
   const RateCascade<3> c({0.25, 0.25, 0.125}, "test");
   EXPECT_EQ(c.pick(0.0), 0u);
@@ -161,15 +153,6 @@ TEST(RateCascade, PicksEdgeCascadedOutcomes) {
   EXPECT_EQ(c.pick(0.625), 3u);  // the fault-free remainder
   EXPECT_EQ(c.pick(0.9999), 3u);
   EXPECT_EQ(RateCascade<2>({0.0, 0.0}, "test").pick(0.0), 2u);
-}
-
-TEST(RateCascade, RejectsNegativeNanAndOverUnityRates) {
-  const f64 nan = std::numeric_limits<f64>::quiet_NaN();
-  EXPECT_THROW((RateCascade<2>({-0.1, 0.5}, "test")), Error);
-  EXPECT_THROW((RateCascade<2>({0.5, nan}, "test")), Error);
-  EXPECT_THROW((RateCascade<2>({1.5, 0.0}, "test")), Error);
-  EXPECT_THROW((RateCascade<2>({0.6, 0.6}, "test")), Error);
-  EXPECT_NO_THROW((RateCascade<2>({0.5, 0.5}, "test")));
 }
 
 }  // namespace

@@ -701,6 +701,19 @@ struct OutcomeTally {
   bool served() const { return completed + degraded > 0; }
 };
 
+/// `serve --chaos-seed`: the schedule only faults first attempts, so with
+/// retries + watchdog every job still resolves. Short stalls and a tight
+/// watchdog deadline keep the drill interactive.
+void armChaosDrill(service::ServiceConfig& cfg, u64 seed) {
+  service::ChaosConfig ccfg;
+  ccfg.seed = seed;
+  ccfg.stallTicks = 150;
+  ccfg.wedgeTicks = 150;
+  cfg.chaosHook = service::SeededChaosSchedule(ccfg).hook();
+  cfg.watchdog.minTimeoutMillis = 100;
+  cfg.breaker.threshold = 4;
+}
+
 /// Runs a multi-tenant workload from a manifest through a
 /// CompressionService and prints per-tenant and scheduler summaries. Job
 /// inputs are deterministic synthetic fields (datagen), so two runs of the
@@ -726,18 +739,7 @@ int doServe(const std::string& manifestPath, u32 workers, u32 maxBatch,
   // The submit loop resumes early if the queue fills (see below), so a
   // manifest larger than --depth still drains.
   cfg.startPaused = true;
-  if (chaos) {
-    // Seeded fault drill: the schedule only faults first attempts, so
-    // with retries + watchdog every job still resolves. Short stalls and
-    // a tight watchdog deadline keep the drill interactive.
-    service::ChaosConfig ccfg;
-    ccfg.seed = chaosSeed;
-    ccfg.stallTicks = 150;
-    ccfg.wedgeTicks = 150;
-    cfg.chaosHook = service::SeededChaosSchedule(ccfg).hook();
-    cfg.watchdog.minTimeoutMillis = 100;
-    cfg.breaker.threshold = 4;
-  }
+  if (chaos) armChaosDrill(cfg, chaosSeed);
   service::CompressionService svc(cfg);
 
   struct Pending {
@@ -915,15 +917,7 @@ int doServeCluster(const std::string& manifestPath, u32 shards,
   if (unbatched) cfg.shard.maxBatchJobs = 1;
   else if (maxBatch > 0) cfg.shard.maxBatchJobs = maxBatch;
   cfg.startPaused = true;
-  if (chaos) {
-    service::ChaosConfig ccfg;
-    ccfg.seed = chaosSeed;
-    ccfg.stallTicks = 150;
-    ccfg.wedgeTicks = 150;
-    cfg.shard.chaosHook = service::SeededChaosSchedule(ccfg).hook();
-    cfg.shard.watchdog.minTimeoutMillis = 100;
-    cfg.shard.breaker.threshold = 4;
-  }
+  if (chaos) armChaosDrill(cfg.shard, chaosSeed);
   cluster::CompressionCluster cl(cfg);
 
   struct Pending {
